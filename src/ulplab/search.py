@@ -2,12 +2,68 @@
 
 The scan walks every significand X = 2**(p-1) + k, k = 0 .. 2**(p-1)-1
 (i.e. every x in [1, 2), which suffices because the error is invariant
-under binade shifts), runs the power iteration in pure integer
-arithmetic, and scores each candidate with the exact rational error.
-Work is split into contiguous significand ranges whose partial results
-merge associatively (larger error wins, ties to the smaller significand),
-so reports are bit-identical for any worker count, and a scan can resume
-from a checkpoint without changing its outcome.
+under binade shifts), runs the power iteration, and scores candidates
+with the exact rational error.  Work is split into contiguous significand
+ranges whose partial results merge associatively (larger error wins, ties
+to the smaller significand), so reports are bit-identical for any worker
+count, and a scan can resume from a checkpoint without changing its
+outcome.
+
+A range is scanned by one of two kernels that return identical results:
+
+* ``_scan_exact`` runs the power iteration in integer arithmetic and
+  scores every candidate exactly.  It serves TIES_AWAY, p > 26, n = 1,
+  and n beyond the binary64 kernel's range gate, and it is the reference
+  the binary64 kernel is tested against.
+* ``_scan_binary64`` serves TIES_EVEN at p <= 26.  It assumes IEEE 754
+  binary64 floats with round-to-nearest-even, which is what CPython's
+  float is on every supported platform.  It runs the iteration in
+  doubles, estimates each candidate's error with a proven bound, and
+  scores exactly only the few candidates the bound cannot rule out.
+
+Why the binary64 iteration is exact.  With x = X * 2**(1-p) in [1, 2) and
+the running value v in [1, 2] both p-bit doubles, z = x * v has at most
+2p <= 52 significant bits, so the product is exact.  For z in [1, 2),
+``(z + C) - C`` with C = 1.5 * 2**(53-p) rounds z to p bits: z + C lies in
+[2**(53-p), 2**(54-p)), where doubles are 2**(1-p) apart, so the hardware
+addition rounds z to the nearest multiple of 2**(1-p), ties to even (C is
+an even multiple of that spacing), and the subtraction is exact.  For z in
+[2, 4) the constant is 2C and v is then halved while a running exponent
+``ec`` goes up by one.  So v * 2**ec is the correctly rounded power, step
+for step the same value as the integer kernel's.
+
+Why the filter is safe.  Alongside v the kernel keeps e, started at x and
+multiplied at every step by x (or x/2 when v was halved).  In exact
+arithmetic e ends as x**n / 2**ec, so rho = v / e is the computed power
+over the exact one, and the error in ulps is |rho - 1| * 2**p.  The n-1 products and the
+division each round once, with relative error at most u = 2**-53 (the
+range gate n-1 <= 2**(p+8) keeps |log2 rho| <= (n-1) * 2**(1-p) <= 512,
+far from overflow and underflow).  By Higham's Lemma 3.1 the estimate is
+rho_hat = rho * (1 + theta) with |theta| <= gamma_n = n*u / (1 - n*u), so
+rho lies in [rho_hat / (1 + gamma_n), rho_hat / (1 - gamma_n)].  Hence
+
+    (1 - t) * (1 + gamma_n) <= rho_hat <= (1 + t) * (1 - gamma_n)
+
+implies |rho - 1| <= t.  The kernel runs in two passes over a range.
+
+* Pass 1 iterates every candidate in doubles.  Each kept candidate's
+  rho_hat also gives a floor, a lower bound on its |rho - 1|
+  (``_error_floor``).  A candidate is dropped when the band holds for
+  t = min(the largest floor so far, the violation line (n-1) * 2**-p).
+  Its error is then at most that of an earlier kept candidate, so it
+  cannot be the best (ties keep the smaller k), and it is no violation.
+* Pass 2 scores the kept candidates with the exact integer formula,
+  largest |rho_hat - 1| first.  After each new best it skips those inside
+  the band for t = min(the best's error rounded down, the violation
+  line).  That t lies strictly below the best's exact error, so a
+  skipped candidate loses to the best in any order.
+
+The thresholds are computed in binary64 with an outward nudge of 2**-50
+(8u) relative, which covers the few roundings inside them.  Over the
+p = 20, n = 6 binade pass 1 keeps about 13 of each 8192 candidates and
+pass 2 scores one; over 4-candidate ranges at p = 24, n = 600 it also
+scores one per range.  So a range's cost hardly depends on where its
+errors lie.
 """
 
 from __future__ import annotations
@@ -20,8 +76,8 @@ from fractions import Fraction
 from typing import Callable
 
 from .algorithms import naive_power
-from .exact import ErrorInUlps, relative_error
-from .softfloat import FpNumber, RoundingMode
+from .exact import ErrorInUlps, relative_error, unlimited_int_digits
+from .softfloat import FpNumber, RoundingMode, _check_precision
 
 __all__ = [
     "CHECKPOINT_SCHEMA_VERSION",
@@ -55,14 +111,48 @@ class SearchReport:
     k_stop: int
 
 
+# Precisions whose significand products are exact doubles (2p <= 52 bits):
+# at these, TIES_EVEN scans run the binary64 kernel.
+_BINARY64_MAX_P = 26
+
+# Relative nudge that moves the binary64 filter's thresholds outward; it
+# covers the handful of roundings (each at most 2**-53) inside them.
+_NUDGE = 2.0**-50
+
+
 def _scan_chunk(args: tuple[int, int, bool, int, int]) -> tuple[int, int, int, int]:
-    """Exact scan of one contiguous significand range.
+    """Scan one contiguous significand range; args = (p, n, ties_away, k_lo, k_hi).
 
     Returns (best_num, best_den, best_k, violations) where best_num/best_den
     is the largest error in ulps over the range (unreduced) and best_k the
-    smallest k attaining it.  Everything is integer arithmetic: the power
-    iteration tracks (significand, exponent) pairs and the error in ulps of
-    candidate k is |Xc * 2**(ec + (n-1)(p-1)) - X0**n| * 2**p / X0**n.
+    smallest k attaining it.  Two kernels compute the same tuple:
+
+    * TIES_EVEN at p <= 26 with 2 <= n <= 2**(p+8) + 1 runs
+      ``_scan_binary64``.  It assumes binary64 floats that round to
+      nearest, ties to even.  Then each p-bit rounding ``(z + C) - C`` is
+      exact, and the estimate rho_hat of (computed power) / x**n takes n
+      roundings of relative size at most u = 2**-53.  So rho_hat is within
+      gamma_n * rho of the true ratio rho, with gamma_n = n*u / (1 - n*u)
+      (Higham, Lemma 3.1).  A candidate is skipped only when every rho
+      that bound allows lies within the (n-1)-ulp line and within a
+      floor of an earlier candidate's error (pass 1) or strictly below
+      the best exact error (pass 2); every other one is scored exactly.
+    * Everything else runs ``_scan_exact``, the integer reference.
+
+    The module docstring gives the proof in full.
+    """
+    p, n, ties_away = args[:3]
+    if not ties_away and p <= _BINARY64_MAX_P and 2 <= n <= (1 << (p + 8)) + 1:
+        return _scan_binary64(args)
+    return _scan_exact(args)
+
+
+def _scan_exact(args: tuple[int, int, bool, int, int]) -> tuple[int, int, int, int]:
+    """Integer kernel: every candidate iterated and scored exactly.
+
+    The power iteration tracks (significand, exponent) pairs and the error
+    in ulps of candidate k is
+    |Xc * 2**(ec + (n-1)(p-1)) - X0**n| * 2**p / X0**n.
     """
     p, n, ties_away, k_lo, k_hi = args
     half_sig = 1 << (p - 1)
@@ -99,18 +189,118 @@ def _scan_chunk(args: tuple[int, int, bool, int, int]) -> tuple[int, int, int, i
     return best_num, best_den, best_k, violations
 
 
+def _scan_binary64(args: tuple[int, int, bool, int, int]) -> tuple[int, int, int, int]:
+    """Binary64 kernel for TIES_EVEN at p <= 26: iterate in doubles, keep
+    what the gamma_n filter cannot rule out, then score the kept candidates
+    exactly, largest estimate first (see the module docstring)."""
+    p, n, _, k_lo, k_hi = args
+    nm1 = n - 1
+    steps = range(nm1)
+    spacing = 2.0 ** (1 - p)
+    c_lo = 1.5 * 2.0 ** (53 - p)  # rounds z in [1, 2) to p bits
+    c_hi = 2.0 * c_lo  # rounds z in [2, 4) to p bits
+    gamma = n * 2.0**-53 / (1.0 - n * 2.0**-53) * (1.0 + _NUDGE)  # >= gamma_n
+    t_viol = nm1 * 2.0**-p  # the (n-1)-ulp line as a relative error, exactly
+    # Pass 1, doubles only: keep (rho_hat, k, v, ec) of every candidate
+    # outside the band that a kept candidate's error floor allows.
+    kept = []
+    floor = 0.0
+    lo, hi = 2.0, 0.0  # empty, so the range's first candidate is kept
+    x = 1.0 + k_lo * spacing
+    for k in range(k_lo, k_hi):
+        x_half = 0.5 * x
+        v = e = x
+        ec = 0
+        for _ in steps:
+            z = x * v
+            if z >= 2.0:
+                v = (z + c_hi - c_hi) * 0.5
+                e *= x_half
+                ec += 1
+            else:
+                v = z + c_lo - c_lo
+                e *= x
+        rho_hat = v / e
+        if not lo <= rho_hat <= hi:
+            kept.append((rho_hat, k, v, ec))
+            t = _error_floor(rho_hat, gamma)
+            if t > floor:
+                floor = t
+                lo, hi = _band(min(t, t_viol), gamma)
+        x += spacing
+    # Pass 2, exact: the first candidate scored is almost always the
+    # range's best, and its error rules out the rest.
+    kept.sort(key=lambda c: abs(c[0] - 1.0), reverse=True)
+    half_sig = 1 << (p - 1)
+    to_sig = float(half_sig)  # v * to_sig is v's integral significand
+    expo_scale = nm1 * (p - 1)
+    best_num, best_den, best_k = -1, 1, -1
+    violations = 0
+    lo, hi = 2.0, 0.0
+    for rho_hat, k, v, ec in kept:
+        if lo <= rho_hat <= hi:
+            continue
+        x_pow = (half_sig + k) ** n
+        err_num = abs((int(v * to_sig) << (ec + expo_scale)) - x_pow) << p
+        if err_num > nm1 * x_pow:
+            violations += 1
+        new, old = err_num * best_den, best_num * x_pow
+        if new > old or (new == old and k < best_k):
+            best_num, best_den, best_k = err_num, x_pow, k
+            # Strictly below the exact best, so a candidate inside the band
+            # loses to it whatever the order.
+            t = err_num / x_pow * 2.0**-p * (1.0 - _NUDGE)
+            lo, hi = _band(min(t, t_viol), gamma)
+    return best_num, best_den, best_k, violations
+
+
+def _band(t: float, gamma: float) -> tuple[float, float]:
+    """(lo, hi) such that lo <= rho_hat <= hi implies |rho - 1| <= t."""
+    hi = (1.0 + t) * (1.0 - gamma)
+    hi -= hi * _NUDGE  # 1 + t > 0 and gamma < 1, so hi > 0
+    lo = (1.0 - t) * (1.0 + gamma)
+    lo += abs(lo) * _NUDGE
+    return lo, hi
+
+
+def _error_floor(rho_hat: float, gamma: float) -> float:
+    """A lower bound on |rho - 1| for every rho that rho_hat allows.
+
+    rho >= rho_hat / (1 + gamma) and rho <= rho_hat / (1 - gamma).  The
+    quotient q rounds twice, so the true quotient is within q * 2u of it.
+    q - 1 (or 1 - q) is exact by Sterbenz's lemma when q is in [1/2, 2]
+    and otherwise rounds by at most u * max(q, 1).  The subtracted
+    16u * max(q, 1) covers both with the final rounding.  A result <= 0
+    says nothing and is never used.
+    """
+    if rho_hat >= 1.0:
+        q = rho_hat / (1.0 + gamma)
+        return (q - 1.0) - q * 2.0**-49
+    q = rho_hat / (1.0 - gamma)
+    return (1.0 - q) - 2.0**-49  # here q < 1 wherever the result is used
+
+
 def _merge(
     state: tuple[int, int, int, int], part: tuple[int, int, int, int]
 ) -> tuple[int, int, int, int]:
     # Associative and commutative: larger error wins, ties prefer smaller k.
     num, den, k, viol = state
     pnum, pden, pk, pviol = part
-    if pnum * den > num * pden or (pnum * den == num * pden and 0 <= pk < k):
+    new, old = pnum * den, num * pden
+    if new > old or (new == old and 0 <= pk < k):
         num, den, k = pnum, pden, pk
     return num, den, k, viol + pviol
 
 
 def _write_checkpoint(path: str, payload: dict) -> None:
+    # best_num/best_den are stored as decimal strings; they can exceed the
+    # int-to-str digit limit.
+    with unlimited_int_digits():
+        payload = {
+            **payload,
+            "best_num": str(payload["best_num"]),
+            "best_den": str(payload["best_den"]),
+        }
     tmp = path + ".tmp"
     with open(tmp, "w") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
@@ -131,6 +321,9 @@ def _load_checkpoint(path: str, expect: dict) -> dict | None:
                 f"checkpoint {path} was written for {key}={data.get(key)!r}, "
                 f"this scan has {key}={want!r}"
             )
+    with unlimited_int_digits():
+        data["best_num"] = int(data["best_num"])
+        data["best_den"] = int(data["best_den"])
     return data
 
 
@@ -156,6 +349,7 @@ def exhaustive_max_error(
     with a report identical to an uninterrupted run.  Scans above the
     precision guard (p > 26) must pass ``force=True``.
     """
+    _check_precision(p)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if p > PRECISION_GUARD and not force:
@@ -185,8 +379,8 @@ def exhaustive_max_error(
         saved = _load_checkpoint(checkpoint, expect)
         if saved:
             state = (
-                int(saved["best_num"]),
-                int(saved["best_den"]),
+                saved["best_num"],
+                saved["best_den"],
                 int(saved["best_k"]),
                 int(saved["violations"]),
             )
@@ -206,8 +400,8 @@ def exhaustive_max_error(
                     "schema_version": CHECKPOINT_SCHEMA_VERSION,
                     **expect,
                     "next_k": done_upto,
-                    "best_num": str(num),
-                    "best_den": str(den),
+                    "best_num": num,
+                    "best_den": den,
                     "best_k": bk,
                     "violations": viol,
                 },

@@ -292,3 +292,34 @@ class TestMainEntry:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["n_max"] == 2088
+
+
+class TestSearchValidation:
+    def test_precision_below_two_exits_2(self, capsys):
+        assert main(["search", "--p", "1", "--n", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: precision must be an integer >= 2, got 1\n"
+
+    def test_precision_checked_before_around(self, capsys):
+        assert main(["search", "--p", "0", "--n", "3", "--around", "5"]) == 2
+        assert "precision must be an integer >= 2" in capsys.readouterr().err
+
+    def test_checkpoint_with_n_range_exits_2_before_scanning(self, tmp_path, capsys):
+        ck = tmp_path / "scan.json"
+        argv = ["search", "--p", "8", "--n", "3..4", "--checkpoint", str(ck)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "single n" in captured.err
+        assert not ck.exists()
+
+    def test_big_render_restores_digit_limit(self, default_int_digit_limit):
+        code, text = run(
+            ["search", "--p", "24", "--n", "600", "--around", "16000000",
+             "--radius", "32", "--jobs", "1", "--format", "json"]
+        )
+        assert code == 0
+        numerator = json.loads(text)["rows"][0]["max_error"]["fraction"].split("/")[0]
+        assert len(numerator) > 4300
+        assert sys.get_int_max_str_digits() == 4300

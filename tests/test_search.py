@@ -2,10 +2,14 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ulplab.search as search
 from ulplab import FpNumber, RoundingMode, exhaustive_max_error, spot_error
-from ulplab.search import _merge, _scan_chunk
-from oracle import oracle_error_ulps, oracle_max_power_error, oracle_power
+from ulplab.cli import run
+from ulplab.search import _merge, _scan_binary64, _scan_chunk, _scan_exact
+from oracle import oracle_error_ulps, oracle_max_power_error, oracle_power, oracle_round
 
 EVEN = RoundingMode.TIES_EVEN
 AWAY = RoundingMode.TIES_AWAY
@@ -117,6 +121,162 @@ class TestScanChunkInternals:
         assert _merge((-1, 1, -1, 0), a) == a
 
 
+def _both_kernels(p, n, k_lo, k_hi):
+    """The binary64 kernel's tuple, after checking it equals the integer kernel's."""
+    args = (p, n, False, k_lo, k_hi)
+    fast = _scan_binary64(args)
+    assert fast == _scan_exact(args), args
+    return fast
+
+
+def _window(p, k, radius):
+    return max(0, k - radius), min(1 << (p - 1), k + radius + 1)
+
+
+class TestBinary64Kernel:
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_matches_integer_kernel_on_random_windows(self, data):
+        p = data.draw(st.integers(2, 26), label="p")
+        n = data.draw(st.integers(1, 40) | st.sampled_from([100, 600]), label="n")
+        space = 1 << (p - 1)
+        k_lo = data.draw(st.integers(0, space - 1), label="k_lo")
+        width = data.draw(st.integers(1, 64 if n <= 40 else 6), label="width")
+        _both_kernels(p, n, k_lo, min(space, k_lo + width))
+
+    def test_matches_integer_kernel_on_whole_binades(self):
+        for p in range(2, 11):
+            for n in (2, 3, 5, 8, 13):
+                _both_kernels(p, n, 0, 1 << (p - 1))
+
+    @pytest.mark.parametrize("p", [8, 12, 16, 20, 24, 26])
+    def test_exact_product_ties_at_even_p(self, p):
+        # X0 = m * 2**(p/2 - 1) with m odd and X0**2 < 2**(2p-1): the square
+        # has p-1 bits to drop, and exactly the top one of them is set.
+        top = 1 << (2 * p - 1)
+        X0s = [
+            m << (p // 2 - 1)
+            for m in range((1 << (p // 2)) + 1, 1 << (p // 2 + 1), 2)
+            if (m << (p // 2 - 1)) ** 2 < top
+        ]
+        assert len(X0s) >= 3
+        for X0 in X0s[:: max(1, len(X0s) // 6)]:
+            x = Fraction(X0, 1 << (p - 1))
+            assert oracle_round(x * x, p) != oracle_round(x * x, p, ties_away=True)
+            k = X0 - (1 << (p - 1))
+            for n in (2, 3, 7):
+                num, den, _, _ = _both_kernels(p, n, k, k + 1)
+                want = oracle_error_ulps(oracle_power(x, n, p), x**n, p)
+                assert Fraction(num, den) == want
+                _both_kernels(p, n, *_window(p, k, 8))
+
+    # (p, j, k): step j of x = 1 + k * 2**(1-p) rounds up to a power of two,
+    # so the significand reaches 2**p and the exponent moves on.
+    ROUND_UP_CASES = [
+        (8, 2, 53),
+        (12, 7, 1662),
+        (16, 3, 8517),
+        (16, 3, 19248),
+        (20, 7, 254801),
+        (24, 6, 1027286),
+    ]
+
+    @pytest.mark.parametrize("p,j,k", ROUND_UP_CASES)
+    def test_step_rounding_up_to_two_to_the_p(self, p, j, k):
+        x = Fraction((1 << (p - 1)) + k, 1 << (p - 1))
+        prev = oracle_power(x, j - 1, p)
+        y = oracle_power(x, j, p)
+        assert y > x * prev
+        assert y.numerator & (y.numerator - 1) == 0  # a power of two
+        assert y.denominator & (y.denominator - 1) == 0
+        for n in (j, j + 1, j + 4):
+            num, den, _, _ = _both_kernels(p, n, k, k + 1)
+            assert Fraction(num, den) == oracle_error_ulps(oracle_power(x, n, p), x**n, p)
+            _both_kernels(p, n, *_window(p, k, 16))
+
+    @pytest.mark.parametrize("p", [2, 3, 9, 17, 26])
+    def test_n1_and_n2(self, p):
+        space = 1 << (p - 1)
+        for lo, hi in ((0, min(space, 40)), (space // 3, min(space, space // 3 + 40))):
+            num, _, k, viol = _both_kernels(p, 1, lo, hi)
+            assert (num, k, viol) == (0, lo, 0)
+            _both_kernels(p, 2, lo, hi)
+
+    def test_equal_errors_keep_the_smallest_k(self):
+        # For n >= 2 no window at p <= 12 has its maximum attained twice
+        # (checked exhaustively), so the ties come from n = 1, where every
+        # error is 0, and from chunk merges of such ranges.
+        for lo in (0, 5, 17):
+            assert _both_kernels(7, 1, lo, 40)[2] == lo
+        r = exhaustive_max_error(7, 1, k_start=9, k_stop=60, chunk_size=4)
+        assert r.argmax_x.significand == (1 << 6) + 9
+
+    @pytest.mark.parametrize("p,n,k_big,k_viol", [(4, 600, 3, 5), (5, 1000, 4, 5), (6, 600, 8, 13)])
+    def test_violation_below_the_running_best_is_counted(self, p, n, k_big, k_viol):
+        # Candidate k_viol exceeds the (n-1)-ulp line but not the error of
+        # the earlier k_big, so only the violation line makes it be scored.
+        big = _both_kernels(p, n, k_big, k_big + 1)
+        viol = _both_kernels(p, n, k_viol, k_viol + 1)
+        assert viol[3] == 1
+        assert viol[0] * big[1] < big[0] * viol[1]
+        assert _both_kernels(p, n, k_big, k_viol + 1)[3] >= 2
+        _both_kernels(p, n, 0, 1 << (p - 1))
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_documented_slack_bounds_the_estimate(self, data):
+        """|rho_hat - rho| <= gamma_n * rho, the bound the filter relies on.
+
+        rho_hat is formed as the kernel forms it: e = x**n by n-1 rounded
+        products, then the exact computed power divided by e.  The kernel
+        divides both by 2**ec, which is exact, so its estimate is this same
+        double.
+        """
+        p = data.draw(st.integers(2, 26), label="p")
+        n = data.draw(st.integers(2, 40) | st.sampled_from([100, 600]), label="n")
+        k = data.draw(st.integers(0, (1 << (p - 1)) - 1), label="k")
+        x = Fraction((1 << (p - 1)) + k, 1 << (p - 1))
+        computed = oracle_power(x, n, p)
+        e = float(x)
+        for _ in range(n - 1):
+            e *= float(x)
+        rho_hat = Fraction(float(computed) / e)
+        rho = computed / x**n
+        u = Fraction(1, 1 << 53)
+        gamma = n * u / (1 - n * u)
+        assert abs(rho_hat - rho) <= gamma * rho
+        # The pass-1 floor, from the kernel's own gamma, is below |rho - 1|.
+        g = n * 2.0**-53 / (1.0 - n * 2.0**-53) * (1.0 + search._NUDGE)
+        assert Fraction(search._error_floor(float(rho_hat), g)) <= abs(rho - 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rho_hat=st.floats(0.999, 1.001) | st.floats(2.0**-512, 2.0**512),
+        n=st.integers(2, 1 << 34),
+    )
+    def test_error_floor_is_below_the_exact_floor(self, rho_hat, n):
+        g = n * 2.0**-53 / (1.0 - n * 2.0**-53) * (1.0 + search._NUDGE)
+        r, gf = Fraction(rho_hat), Fraction(g)
+        exact = max(r / (1 + gf) - 1, 1 - r / (1 - gf))
+        assert Fraction(search._error_floor(rho_hat, g)) <= exact
+
+    def test_dispatch(self, monkeypatch):
+        def refuse(args):
+            raise AssertionError(f"integer kernel used for {args}")
+
+        monkeypatch.setattr(search, "_scan_exact", refuse)
+        _scan_chunk((20, 6, False, 0, 64))
+        _scan_chunk((2, 1025, False, 0, 2))
+        for args in (
+            (20, 6, True, 0, 64),  # TIES_AWAY
+            (27, 6, False, 0, 64),  # p > 26
+            (20, 1, False, 0, 64),  # n = 1
+            (2, 1026, False, 0, 2),  # beyond n - 1 <= 2**(p+8)
+        ):
+            with pytest.raises(AssertionError):
+                _scan_chunk(args)
+
+
 class TestCheckpointing:
     def test_interrupt_and_resume_bit_identical(self, tmp_path):
         ck = str(tmp_path / "scan.json")
@@ -153,6 +313,33 @@ class TestCheckpointing:
         with pytest.raises(ValueError):
             exhaustive_max_error(10, 4, chunk_size=128, checkpoint=ck)
 
+    def test_big_numerator_checkpoint_resumes_to_same_bytes(
+        self, tmp_path, default_int_digit_limit
+    ):
+        # The best error's numerator has about 8700 decimal digits, past the
+        # default int-to-str limit.  The checkpoint is written before any
+        # report is rendered, so no earlier render can have moved the limit.
+        ck = str(tmp_path / "scan.json")
+        argv = ["search", "--p", "24", "--n", "600", "--around", "16000000",
+                "--radius", "32", "--jobs", "1", "--format", "json"]
+
+        class Stop(Exception):
+            pass
+
+        def bail(done, total):
+            raise Stop()
+
+        lo, hi = 16000000 - (1 << 23) - 32, 16000000 - (1 << 23) + 33
+        with pytest.raises(Stop):
+            exhaustive_max_error(24, 600, k_start=lo, k_stop=hi, chunk_size=16,
+                                 checkpoint=ck, progress=bail)
+        assert len(json.loads(open(ck).read())["best_num"]) > 4300
+        resumed = run(argv + ["--checkpoint", ck])
+        finished = run(argv + ["--checkpoint", ck])
+        clean = run(argv)
+        assert clean[0] == 0
+        assert resumed == finished == clean
+
     def test_unknown_schema_rejected(self, tmp_path):
         ck = tmp_path / "scan.json"
         ck.write_text('{"schema_version": 99}')
@@ -164,6 +351,13 @@ class TestCheckpointing:
         exhaustive_max_error(9, 3, chunk_size=100, progress=lambda d, t: seen.append((d, t)))
         assert seen[-1] == (256, 256)
         assert [d for d, _ in seen] == sorted(d for d, _ in seen)
+
+
+class TestPrecisionValidation:
+    @pytest.mark.parametrize("p", [1, 0, -3, 2.0])
+    def test_bad_precision_rejected_before_any_shift(self, p):
+        with pytest.raises(ValueError, match="precision must be an integer >= 2"):
+            exhaustive_max_error(p, 3)
 
 
 class TestSpotError:
