@@ -27,9 +27,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algorithms import DOWN, ProductTrace, _direction, iterated_product
+from .algorithms import DOWN, ProductTrace, _mul_direction, iterated_product
 from .exact import ErrorInUlps, relative_error
-from .softfloat import FpNumber, RoundingMode, round_nearest
+from .softfloat import FpNumber, RoundingMode, fp_mul, round_nearest
 
 __all__ = [
     "AdversarySequence",
@@ -59,10 +59,7 @@ class AdversarySequence:
     achieved_error: ErrorInUlps  # exact error of trace.final, in ulps
 
     def exact_product(self) -> Fraction:
-        prod = Fraction(1)
-        for f in self.factors:
-            prod *= f.to_fraction()
-        return prod
+        return math.prod(f.to_fraction() for f in self.factors)
 
 
 @dataclass(frozen=True)
@@ -104,9 +101,9 @@ def build_sequence(p: int, n: int) -> AdversarySequence:
     quarter = 1 << (p - 2)
     seed_k = math.isqrt(quarter)  # floor(2**(p/2 - 1))
     seed = _grid_factor(seed_k, p)
+    cur = fp_mul(seed, seed, mode)
     factors = [seed, seed]
-    trace = iterated_product(factors, mode)
-    cur = trace.final
+    partials = [seed, cur]
     for i in range(2, n):
         if cur.exponent != 0:
             raise SequenceConstructionError(
@@ -125,12 +122,10 @@ def build_sequence(p: int, n: int) -> AdversarySequence:
         except ValueError as exc:
             raise SequenceConstructionError(i, str(exc)) from exc
         factors.append(nxt)
-        trace = iterated_product(factors, mode)
-        cur = trace.final
-    exact = Fraction(1)
-    for f in factors:
-        exact *= f.to_fraction()
-    achieved = relative_error(trace.final, exact)
+        cur = fp_mul(cur, nxt, mode)
+        partials.append(cur)
+    trace = ProductTrace(tuple(factors), tuple(partials), cur)
+    achieved = relative_error(cur, math.prod(f.to_fraction() for f in factors))
     return AdversarySequence(p, n, tuple(factors), trace, achieved)
 
 
@@ -143,12 +138,8 @@ def verify_sequence(seq: AdversarySequence) -> SequenceReport:
     """
     trace = iterated_product(seq.factors, RoundingMode.TIES_EVEN)
     consistent = trace == seq.trace
-    directions = []
-    running = trace.partials[0].to_fraction()
-    for f, rounded in zip(trace.factors[1:], trace.partials[1:]):
-        step_exact = running * f.to_fraction()
-        running = rounded.to_fraction()
-        directions.append(_direction(running, step_exact))
+    steps = zip(trace.partials, trace.factors[1:], trace.partials[1:])
+    directions = [_mul_direction(prev, f, rounded) for prev, f, rounded in steps]
     all_down = all(d == DOWN for d in directions)
     achieved = relative_error(trace.final, seq.exact_product())
     bound = seq.n - 1

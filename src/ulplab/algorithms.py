@@ -10,7 +10,6 @@ checks feed on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .softfloat import FpNumber, RoundingMode, fp_mul
 
@@ -24,12 +23,6 @@ __all__ = [
 
 # Sign of (rounded - exact) for one multiplication.
 DOWN, EXACT, UP = "down", "exact", "up"
-
-
-def _direction(rounded: Fraction, exact: Fraction) -> str:
-    if rounded == exact:
-        return EXACT
-    return DOWN if rounded < exact else UP
 
 
 def _mul_direction(a: FpNumber, b: FpNumber, result: FpNumber) -> str:

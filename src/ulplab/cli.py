@@ -141,36 +141,37 @@ def _cmd_search(args: argparse.Namespace) -> tuple[int, str]:
         raise CliError(
             f"--checkpoint holds the state of a single n; got --n {args.n}"
         )
+    if args.jobs < 1:
+        raise CliError(f"--jobs must be >= 1, got {args.jobs}")
+    if args.radius < 0:
+        raise CliError(f"--radius must be >= 0, got {args.radius}")
     reports = []
-    try:
-        _check_precision(args.p)
-        k_start, k_stop = 0, None
-        if args.around is not None:
-            center = args.around - (1 << (args.p - 1))
-            if not 0 <= center < 1 << (args.p - 1):
-                raise CliError(
-                    f"--around {args.around} is not a precision-{args.p} significand "
-                    f"in [2^{args.p - 1}, 2^{args.p})"
-                )
-            k_start = max(0, center - args.radius)
-            k_stop = min(1 << (args.p - 1), center + args.radius + 1)
-        for n in ns:
-            reports.append(
-                exhaustive_max_error(
-                    args.p,
-                    n,
-                    mode,
-                    k_start=k_start,
-                    k_stop=k_stop,
-                    jobs=args.jobs,
-                    chunk_size=args.chunk_size,
-                    checkpoint=args.checkpoint,
-                    progress=_progress_printer(args.p, n) if args.progress else None,
-                    force=args.force,
-                )
+    _check_precision(args.p)
+    k_start, k_stop = 0, None
+    if args.around is not None:
+        center = args.around - (1 << (args.p - 1))
+        if not 0 <= center < 1 << (args.p - 1):
+            raise CliError(
+                f"--around {args.around} is not a precision-{args.p} significand "
+                f"in [2^{args.p - 1}, 2^{args.p})"
             )
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+        k_start = max(0, center - args.radius)
+        k_stop = min(1 << (args.p - 1), center + args.radius + 1)
+    for n in ns:
+        reports.append(
+            exhaustive_max_error(
+                args.p,
+                n,
+                mode,
+                k_start=k_start,
+                k_stop=k_stop,
+                jobs=args.jobs,
+                chunk_size=args.chunk_size,
+                checkpoint=args.checkpoint,
+                progress=_progress_printer(args.p, n) if args.progress else None,
+                force=args.force,
+            )
+        )
     header = ["n", "max_error_ulps", "fraction", "argmax_x", "scanned", "violations"]
     rows, json_rows = [], []
     for r in reports:
@@ -239,10 +240,7 @@ def _cmd_bounds(args: argparse.Namespace) -> tuple[int, str]:
     rows, json_rows = [], []
     notes = []
     for n in ns:
-        try:
-            b = bound_set(args.p, n)
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
+        b = bound_set(args.p, n)
         psi_u = _error_obj(b.psi / b.u, args.digits)
         gamma_u = _error_obj(b.gamma / b.u, args.digits)
         within = n <= cutoff
@@ -274,10 +272,7 @@ def _cmd_bounds(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def _cmd_adversary(args: argparse.Namespace) -> tuple[int, str]:
-    try:
-        seq = build_sequence(args.p, args.n)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    seq = build_sequence(args.p, args.n)
     report = verify_sequence(seq)
     factors = [str(f.to_fraction()) for f in seq.factors]
     err = _error_obj(seq.achieved_error, args.digits)
@@ -499,12 +494,16 @@ def run(argv: list[str]) -> tuple[int, str]:
     """Parse argv and execute; returns (exit_status, stdout_text).
 
     Raises CliError for usage problems so callers can decide how loud to be;
-    ``main`` turns that into an exit status of 2.
+    ``main`` turns that into an exit status of 2.  This is the one place
+    where a library ValueError (a bad p, n or x) becomes a CliError.
     """
     args = _build_parser().parse_args(argv)
     if getattr(args, "digits", 9) < 1:
         raise CliError("--digits must be >= 1")
-    return _HANDLERS[args.command](args)
+    try:
+        return _HANDLERS[args.command](args)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
 
 
 def main(argv: list[str] | None = None) -> int:

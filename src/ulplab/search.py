@@ -284,9 +284,17 @@ def _merge(
     state: tuple[int, int, int, int], part: tuple[int, int, int, int]
 ) -> tuple[int, int, int, int]:
     # Associative and commutative: larger error wins, ties prefer smaller k.
+    # Int true division rounds correctly, hence monotonically, so unequal
+    # quotients already order the errors; only equal ones need the exact
+    # cross-multiplication.
     num, den, k, viol = state
     pnum, pden, pk, pviol = part
-    new, old = pnum * den, num * pden
+    try:
+        new, old = pnum / pden, num / den
+    except OverflowError:  # an error beyond 2**1024 ulps
+        new = old = 0.0
+    if new == old:
+        new, old = pnum * den, num * pden
     if new > old or (new == old and 0 <= pk < k):
         num, den, k = pnum, pden, pk
     return num, den, k, viol + pviol

@@ -82,6 +82,27 @@ class TestBuildSequence:
         assert rebuilt == [f.to_fraction() for f in seq.factors]
 
 
+class TestLinearity:
+    # p = 8 sequences fall back to 1 after 28 factors
+    @pytest.mark.parametrize("p,n_max", [(8, 28), (24, 300), (53, 300), (113, 300)])
+    def test_one_multiplication_per_new_factor(self, p, n_max, monkeypatch):
+        import ulplab.adversary as adversary
+
+        calls = []
+        real = adversary.fp_mul
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(adversary, "fp_mul", counting)
+        for n in sorted({2, 3, n_max // 2, n_max}):
+            calls.clear()
+            seq = build_sequence(p, n)
+            assert len(calls) == n - 1
+            assert seq.trace == iterated_product(seq.factors)
+
+
 class TestVerifySequence:
     def test_all_steps_round_down(self):
         report = verify_sequence(build_sequence(24, 20))

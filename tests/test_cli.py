@@ -294,7 +294,52 @@ class TestMainEntry:
         assert json.loads(proc.stdout)["n_max"] == 2088
 
 
+class TestErrorBoundary:
+    # Library ValueErrors become one "error:" line and exit status 2.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spot", "--p", "24", "--x", "0", "--n", "3"],
+            ["spot", "--p", "24", "--x", "1", "--n", "0"],
+            ["spot", "--p", "1", "--x", "1", "--n", "2"],
+            ["verify", "--p", "4"],
+            ["bounds", "--p", "4", "--n", "3"],
+            ["adversary", "--p", "24", "--n", "1"],
+            ["search", "--p", "8", "--n", "3", "--chunk-size", "0"],
+        ],
+    )
+    def test_library_error_exits_2(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+
 class TestSearchValidation:
+    @pytest.mark.parametrize(
+        "extra,message",
+        [
+            (["--jobs", "0"], "--jobs must be >= 1, got 0"),
+            (["--jobs", "-2"], "--jobs must be >= 1, got -2"),
+            (["--around", "200", "--radius", "-5"], "--radius must be >= 0, got -5"),
+            (["--radius", "-1"], "--radius must be >= 0, got -1"),
+        ],
+    )
+    def test_bad_search_option_exits_2_before_scanning(
+        self, extra, message, capsys, monkeypatch
+    ):
+        import ulplab.cli
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("scan started")
+
+        monkeypatch.setattr(ulplab.cli, "exhaustive_max_error", no_scan)
+        assert main(["search", "--p", "8", "--n", "3"] + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_precision_below_two_exits_2(self, capsys):
         assert main(["search", "--p", "1", "--n", "3"]) == 2
         err = capsys.readouterr().err

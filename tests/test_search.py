@@ -120,6 +120,54 @@ class TestScanChunkInternals:
         # identity element
         assert _merge((-1, 1, -1, 0), a) == a
 
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_merge_matches_fraction_comparison(self, data):
+        # The second state is empty, the same value in another unreduced
+        # form, a value closer than 2**-53 relative (the float quotients
+        # then mostly agree), or unrelated; "huge" lifts both past 2**1024.
+        num = data.draw(st.integers(0, 1 << 200), label="num")
+        den = data.draw(st.integers(1, 1 << 200), label="den")
+        kind = data.draw(st.sampled_from(["empty", "equal", "near", "other"]))
+        if data.draw(st.booleans(), label="huge"):
+            num <<= 1100
+        if kind == "empty":
+            other = (-1, 1)
+        elif kind == "equal":
+            scale = st.integers(1, 1 << 64)
+            m1, m2 = data.draw(st.tuples(scale, scale), label="scales")
+            other = (num * m2, den * m2)
+            num, den = num * m1, den * m1
+        elif kind == "near":
+            shift = data.draw(st.integers(54, 300), label="shift")
+            delta = data.draw(st.integers(-3, 3), label="delta")
+            other = (max(0, (num << shift) + delta), den << shift)
+        else:
+            other = (
+                data.draw(st.integers(0, 1 << 200), label="num2"),
+                data.draw(st.integers(1, 1 << 200), label="den2"),
+            )
+        k1 = data.draw(st.integers(0, 5), label="k1")
+        a = (num, den, k1, data.draw(st.integers(0, 3), label="viol1"))
+        if kind == "empty":
+            b = (*other, -1, 0)
+        else:
+            k2 = data.draw(st.integers(0, 5), label="k2")
+            b = (*other, k2, data.draw(st.integers(0, 3), label="viol2"))
+        for state, part in ((a, b), (b, a)):
+            sv, pv = Fraction(state[0], state[1]), Fraction(part[0], part[1])
+            wins = pv > sv or (pv == sv and 0 <= part[2] < state[2])
+            want = (part if wins else state)[:3] + (state[3] + part[3],)
+            assert _merge(state, part) == want
+
+    def test_merge_of_errors_beyond_float_range(self):
+        # At p = 3, n = 100000 the errors exceed 2**1024 ulps, past what a
+        # float quotient can hold; the merge must fall back to integers.
+        r = exhaustive_max_error(3, 100000, chunk_size=1)
+        assert r.max_error.value > 1 << 1100
+        assert r.argmax_x.significand == 5
+        assert r.violations == 1
+
 
 def _both_kernels(p, n, k_lo, k_hi):
     """The binary64 kernel's tuple, after checking it equals the integer kernel's."""
