@@ -24,18 +24,11 @@ from .algorithms import (
 from .bounds import (
     BoundSet,
     CheckReport,
-    Enclosure,
-    ThresholdConstants,
-    alpha,
-    alpha_below_limit,
-    alpha_exceeds_beta,
-    beta,
     bound_set,
     check_lemma2,
     check_property1,
     check_refined_binary32_bound,
     n_max,
-    threshold_constants,
     unit_roundoff,
 )
 from .exact import ErrorInUlps, relative_error, to_decimal
@@ -48,7 +41,6 @@ from .softfloat import (
     fp_mul,
     normalized_fraction,
     round_nearest,
-    to_rational,
 )
 
 __version__ = "0.1.0"
@@ -57,7 +49,6 @@ __all__ = [
     "AdversarySequence",
     "BoundSet",
     "CheckReport",
-    "Enclosure",
     "ErrorInUlps",
     "EXPONENT_LIMIT",
     "ExponentRangeError",
@@ -69,11 +60,6 @@ __all__ = [
     "SearchReport",
     "SequenceConstructionError",
     "SequenceReport",
-    "ThresholdConstants",
-    "alpha",
-    "alpha_below_limit",
-    "alpha_exceeds_beta",
-    "beta",
     "bound_set",
     "build_sequence",
     "check_lemma2",
@@ -88,9 +74,7 @@ __all__ = [
     "relative_error",
     "round_nearest",
     "spot_error",
-    "threshold_constants",
     "to_decimal",
-    "to_rational",
     "unit_roundoff",
     "verify_sequence",
 ]

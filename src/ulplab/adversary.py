@@ -59,7 +59,7 @@ class AdversarySequence:
     achieved_error: ErrorInUlps  # exact error of trace.final, in ulps
 
     def exact_product(self) -> Fraction:
-        return math.prod(f.to_fraction() for f in self.factors)
+        return _exact_product(self.factors)
 
 
 @dataclass(frozen=True)
@@ -75,6 +75,19 @@ class SequenceReport:
     below_bound: bool
     gap: Fraction  # error_bound - achieved_error, in ulps
     passed: bool
+
+
+def _exact_product(factors: tuple[FpNumber, ...]) -> Fraction:
+    """Exact product of the factors, as one integer over one power of two.
+
+    Each factor is sign * X * 2**(e - p + 1), so the product needs no
+    Fraction arithmetic until the single reduction at the end.
+    """
+    num = math.prod(f.sign * f.significand for f in factors)
+    shift = sum(f.exponent - f.precision + 1 for f in factors)
+    if shift >= 0:
+        return Fraction(num << shift)
+    return Fraction(num, 1 << -shift)
 
 
 def _grid_factor(k: int, p: int) -> FpNumber:
@@ -124,9 +137,10 @@ def build_sequence(p: int, n: int) -> AdversarySequence:
         factors.append(nxt)
         cur = fp_mul(cur, nxt, mode)
         partials.append(cur)
-    trace = ProductTrace(tuple(factors), tuple(partials), cur)
-    achieved = relative_error(cur, math.prod(f.to_fraction() for f in factors))
-    return AdversarySequence(p, n, tuple(factors), trace, achieved)
+    factors = tuple(factors)
+    trace = ProductTrace(factors, tuple(partials), cur)
+    achieved = relative_error(cur, _exact_product(factors))
+    return AdversarySequence(p, n, factors, trace, achieved)
 
 
 def verify_sequence(seq: AdversarySequence) -> SequenceReport:

@@ -1,11 +1,9 @@
-"""Closed-form error bounds, threshold constants, and their numeric checks.
+"""Closed-form error bounds, the n_max cutoff, and their exact numeric checks.
 
-Everything is exact: classical bounds are rationals, and the irrational
-thresholds (the square root of the cube root of 2 minus 1, and its per
-precision variant) are handled as shrinking rational enclosures computed
-by integer root extraction.  Comparisons against a threshold go through
-the enclosure and the enclosure is narrowed until the comparison is
-decided, so no double-precision rounding can leak into a result.
+Everything is exact: the classical bounds are rationals, ``n_max``
+decides its irrational threshold through an integer predicate, and the
+check suites evaluate the paper's inequalities at rational sample points,
+so no double-precision rounding can leak into a result.
 """
 
 from __future__ import annotations
@@ -13,39 +11,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
-from typing import NamedTuple
 
 __all__ = [
     "BoundSet",
     "CheckReport",
-    "Enclosure",
-    "ThresholdConstants",
-    "alpha",
-    "alpha_below_limit",
-    "alpha_exceeds_beta",
-    "beta",
     "bound_set",
     "check_lemma2",
     "check_property1",
     "check_refined_binary32_bound",
     "n_max",
-    "threshold_constants",
     "unit_roundoff",
 ]
 
-DEFAULT_ENCLOSURE_BITS = 80
-_MAX_ENCLOSURE_BITS = 4096
-
-
-class Enclosure(NamedTuple):
-    """A rational interval [lo, hi] known to contain an irrational constant."""
-
-    lo: Fraction
-    hi: Fraction
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
+# Lemma 2 is sampled at these chain lengths, each interval cut into
+# this many equal parts.
+_LEMMA2_N_GRID = (3, 4, 5, 6, 10, 32, 100, 1000)
+_LEMMA2_SUBDIVISIONS = 16
 
 
 @dataclass(frozen=True)
@@ -64,16 +45,6 @@ class BoundSet:
     psi: Fraction
     gamma: Fraction
     refined_unit: Fraction
-
-
-@dataclass(frozen=True)
-class ThresholdConstants:
-    """Enclosures of the proof thresholds plus the resulting n cutoff."""
-
-    p: int
-    alpha: Enclosure
-    beta: Enclosure
-    n_max: int
 
 
 @dataclass(frozen=True)
@@ -140,82 +111,10 @@ def _max_below(estimate: int, pred) -> int:
     return m
 
 
-def _beta_scaled(bits: int) -> int:
-    # largest m with (m/2**bits)**2 <= 2**(1/3) - 1, i.e.
-    # (m**2 + 2**(2*bits))**3 <= 2**(6*bits + 1)
-    two2n = 1 << (2 * bits)
-    bound = 1 << (6 * bits + 1)
-    est = isqrt(max(_iroot(bound, 3) - two2n, 0))
-    return _max_below(est, lambda m: (m * m + two2n) ** 3 <= bound)
-
-
-def beta(bits: int = DEFAULT_ENCLOSURE_BITS) -> Enclosure:
-    """Enclosure of sqrt(2**(1/3) - 1) of width 2**-bits."""
-    m = _beta_scaled(bits)
-    den = 1 << bits
-    return Enclosure(Fraction(m, den), Fraction(m + 1, den))
-
-
-def _alpha_scaled(p: int, bits: int) -> int:
-    # alpha_p**2 = (2**(p+1) / (2**p + 1))**(2/3) - 1; largest m with
-    # (m**2 + 2**(2*bits))**3 * (2**p + 1)**2 <= 2**(2p + 2 + 6*bits)
-    two2n = 1 << (2 * bits)
-    d = (1 << p) + 1
-    bound = 1 << (2 * p + 2 + 6 * bits)
-    est = isqrt(max(_iroot(bound // (d * d), 3) - two2n, 0))
-    return _max_below(est, lambda m: (m * m + two2n) ** 3 * d * d <= bound)
-
-
-def alpha(p: int, bits: int = DEFAULT_ENCLOSURE_BITS) -> Enclosure:
-    """Enclosure of sqrt((2**(p+1)/(2**p+1))**(2/3) - 1) of width 2**-bits."""
-    if p < 5:
-        raise ValueError(f"alpha is only used for p >= 5, got {p}")
-    m = _alpha_scaled(p, bits)
-    den = 1 << bits
-    return Enclosure(Fraction(m, den), Fraction(m + 1, den))
-
-
-def _alpha_limit_scaled(bits: int) -> int:
-    # the p -> infinity limit sqrt(2**(2/3) - 1): largest m with
-    # (m**2 + 2**(2*bits))**3 <= 2**(6*bits + 2)
-    two2n = 1 << (2 * bits)
-    bound = 1 << (6 * bits + 2)
-    est = isqrt(max(_iroot(bound, 3) - two2n, 0))
-    return _max_below(est, lambda m: (m * m + two2n) ** 3 <= bound)
-
-
-def alpha_limit(bits: int = DEFAULT_ENCLOSURE_BITS) -> Enclosure:
-    m = _alpha_limit_scaled(bits)
-    den = 1 << bits
-    return Enclosure(Fraction(m, den), Fraction(m + 1, den))
-
-
-def _decide(make_a, make_b) -> bool:
-    """True iff constant a > constant b, narrowing both enclosures as needed."""
-    bits = DEFAULT_ENCLOSURE_BITS
-    while bits <= _MAX_ENCLOSURE_BITS:
-        ea, eb = make_a(bits), make_b(bits)
-        if ea.lo > eb.hi:
-            return True
-        if ea.hi < eb.lo:
-            return False
-        bits *= 2
-    raise RuntimeError("enclosures failed to separate (constants may be equal)")
-
-
-def alpha_exceeds_beta(p: int) -> bool:
-    return _decide(lambda b: alpha(p, b), beta)
-
-
-def alpha_below_limit(p: int) -> bool:
-    """alpha_p < sqrt(2**(2/3) - 1), decided through enclosures."""
-    return _decide(lambda b: alpha_limit(b), lambda b: alpha(p, b))
-
-
 def n_max(p: int) -> int:
     """Largest n with n <= sqrt(2**(1/3) - 1) * 2**(p/2), exactly.
 
-    The comparison n <= beta * 2**(p/2) is squared and cubed into the pure
+    The comparison is squared and cubed into the pure
     integer predicate (n**2 + 2**p)**3 <= 2**(3p+1), so no rounding of the
     irrational threshold is involved.
     """
@@ -225,10 +124,6 @@ def n_max(p: int) -> int:
     bound = 1 << (3 * p + 1)
     est = isqrt(max(_iroot(bound, 3) - two_p, 0))
     return _max_below(est, lambda m: (m * m + two_p) ** 3 <= bound)
-
-
-def threshold_constants(p: int, bits: int = DEFAULT_ENCLOSURE_BITS) -> ThresholdConstants:
-    return ThresholdConstants(p=p, alpha=alpha(p, bits), beta=beta(bits), n_max=n_max(p))
 
 
 def _property1_grid() -> list[Fraction]:
@@ -268,9 +163,10 @@ def check_property1() -> CheckReport:
     )
 
 
-def _lemma2_samples(n: int, subdivisions: int) -> list[Fraction]:
+def _lemma2_samples(n: int) -> list[Fraction]:
     top = Fraction(2, 3 * n * n)
-    samples = [top * Fraction(j, subdivisions) for j in range(subdivisions + 1)]
+    d = _LEMMA2_SUBDIVISIONS
+    samples = [top * Fraction(j, d) for j in range(d + 1)]
     j = 1
     while Fraction(1, 1 << j) > top:
         j += 1
@@ -278,21 +174,17 @@ def _lemma2_samples(n: int, subdivisions: int) -> list[Fraction]:
     return samples
 
 
-def check_lemma2(n_grid: list[int] | None = None, subdivisions: int = 16) -> CheckReport:
+def check_lemma2() -> CheckReport:
     """(1+u)**(n-2) * (1 + u/(1+n^2 u)) <= 1 + (n-1)u on 0 <= u <= 2/(3n^2).
 
     Sampled exactly: the endpoints, a uniform rational subdivision of the
     interval, and the dyadic points 2**-j that fall inside it.  This is a
     regression guard on the inequality, not a proof over the continuum.
     """
-    if n_grid is None:
-        n_grid = [3, 4, 5, 6, 10, 32, 100, 1000]
-    if any(n < 3 for n in n_grid):
-        raise ValueError("lemma 2 grid needs n >= 3")
     checked = 0
     failures = []
-    for n in n_grid:
-        for u in _lemma2_samples(n, subdivisions):
+    for n in _LEMMA2_N_GRID:
+        for u in _lemma2_samples(n):
             checked += 1
             lhs = (1 + u) ** (n - 2) * (1 + u / (1 + n * n * u))
             if not lhs <= 1 + (n - 1) * u:

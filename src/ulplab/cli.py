@@ -20,6 +20,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from operator import itemgetter
 
 from .adversary import build_sequence, verify_sequence
 from .bounds import (
@@ -30,7 +31,7 @@ from .bounds import (
     n_max,
 )
 from .exact import ErrorInUlps, to_decimal, unlimited_int_digits
-from .search import exhaustive_max_error, spot_error
+from .search import DEFAULT_CHUNK_SIZE, PRECISION_GUARD, exhaustive_max_error, spot_error
 from .softfloat import FpNumber, RoundingMode, _check_precision, round_nearest
 
 __all__ = ["GOLDEN_SCENARIOS", "main", "run"]
@@ -104,26 +105,29 @@ def _error_obj(err: ErrorInUlps | Fraction, digits: int) -> dict:
     }
 
 
-def _canonical_json(obj: dict) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def _cell(value) -> str:
+    return str(value).lower() if isinstance(value, bool) else str(value)
 
 
-def _render(fmt: str, header: list[str], rows: list[list[str]], json_obj: dict) -> str:
+def _render(fmt: str, obj: dict, columns, rows) -> str:
+    """json writes ``obj``; table and csv write one line per row, with one
+    cell per ``(header, getter)`` in ``columns``."""
     if fmt == "json":
-        return _canonical_json(json_obj)
+        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    header = [h for h, _ in columns]
+    cells = [[_cell(get(r)) for _, get in columns] for r in rows]
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows(cells)
         return buf.getvalue()
-    widths = [
-        max(len(header[i]), max((len(r[i]) for r in rows), default=0))
-        for i in range(len(header))
+    # Pad every column but the last: each line is right-stripped anyway.
+    widths = [max(len(c[i]) for c in [header, *cells]) for i in range(len(header) - 1)]
+    lines = [
+        "  ".join([*(c.ljust(w) for c, w in zip(line, widths)), line[-1]]).rstrip()
+        for line in [header, *cells]
     ]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
-    for r in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
     return "\n".join(lines) + "\n"
 
 
@@ -132,6 +136,16 @@ def _progress_printer(p: int, n: int):
         print(f"search p={p} n={n}: {done}/{total}", file=sys.stderr, flush=True)
 
     return cb
+
+
+_SEARCH_COLUMNS = (
+    ("n", itemgetter("n")),
+    ("max_error_ulps", lambda r: r["max_error"]["decimal"]),
+    ("fraction", lambda r: r["max_error"]["fraction"]),
+    ("argmax_x", itemgetter("argmax_x")),
+    ("scanned", itemgetter("scanned")),
+    ("violations", itemgetter("violations")),
+)
 
 
 def _cmd_search(args: argparse.Namespace) -> tuple[int, str]:
@@ -145,7 +159,6 @@ def _cmd_search(args: argparse.Namespace) -> tuple[int, str]:
         raise CliError(f"--jobs must be >= 1, got {args.jobs}")
     if args.radius < 0:
         raise CliError(f"--radius must be >= 0, got {args.radius}")
-    reports = []
     _check_precision(args.p)
     k_start, k_stop = 0, None
     if args.around is not None:
@@ -157,39 +170,24 @@ def _cmd_search(args: argparse.Namespace) -> tuple[int, str]:
             )
         k_start = max(0, center - args.radius)
         k_stop = min(1 << (args.p - 1), center + args.radius + 1)
+    rows = []
     for n in ns:
-        reports.append(
-            exhaustive_max_error(
-                args.p,
-                n,
-                mode,
-                k_start=k_start,
-                k_stop=k_stop,
-                jobs=args.jobs,
-                chunk_size=args.chunk_size,
-                checkpoint=args.checkpoint,
-                progress=_progress_printer(args.p, n) if args.progress else None,
-                force=args.force,
-            )
+        r = exhaustive_max_error(
+            args.p,
+            n,
+            mode,
+            k_start=k_start,
+            k_stop=k_stop,
+            jobs=args.jobs,
+            chunk_size=args.chunk_size,
+            checkpoint=args.checkpoint,
+            progress=_progress_printer(args.p, n) if args.progress else None,
+            force=args.force,
         )
-    header = ["n", "max_error_ulps", "fraction", "argmax_x", "scanned", "violations"]
-    rows, json_rows = [], []
-    for r in reports:
-        err = _error_obj(r.max_error, args.digits)
         rows.append(
-            [
-                str(r.n),
-                err["decimal"],
-                err["fraction"],
-                _fp_repr(r.argmax_x),
-                str(r.scanned),
-                str(r.violations),
-            ]
-        )
-        json_rows.append(
             {
                 "n": r.n,
-                "max_error": err,
+                "max_error": _error_obj(r.max_error, args.digits),
                 "argmax_x": _fp_repr(r.argmax_x),
                 "scanned": r.scanned,
                 "violations": r.violations,
@@ -202,73 +200,82 @@ def _cmd_search(args: argparse.Namespace) -> tuple[int, str]:
         "command": "search",
         "p": args.p,
         "mode": mode.value,
-        "rows": json_rows,
+        "rows": rows,
     }
-    text = _render(args.format, header, rows, obj)
-    bad = sum(r.violations for r in reports)
+    text = _render(args.format, obj, _SEARCH_COLUMNS, rows)
+    bad = sum(r["violations"] for r in rows)
     if bad:
         text += f"violations: {bad} input(s) exceeded the (n-1) ulp bound\n"
     return (1 if bad else 0), text
 
 
+_SPOT_COLUMNS = (
+    ("n", itemgetter("n")),
+    ("error_ulps", lambda r: r["error"]["decimal"]),
+    ("fraction", lambda r: r["error"]["fraction"]),
+)
+
+
 def _cmd_spot(args: argparse.Namespace) -> tuple[int, str]:
     mode = RoundingMode(args.mode)
     x = _parse_x(args.x, args.p)
-    header = ["n", "error_ulps", "fraction"]
-    rows, json_rows = [], []
-    for n in _parse_range(args.n):
-        err = _error_obj(spot_error(x, n, mode), args.digits)
-        rows.append([str(n), err["decimal"], err["fraction"]])
-        json_rows.append({"n": n, "error": err})
+    rows = [
+        {"n": n, "error": _error_obj(spot_error(x, n, mode), args.digits)}
+        for n in _parse_range(args.n)
+    ]
     obj = {
         "schema_version": SCHEMA_VERSION,
         "command": "spot",
         "p": args.p,
         "mode": mode.value,
         "x": _fp_repr(x),
-        "rows": json_rows,
+        "rows": rows,
     }
-    return 0, _render(args.format, header, rows, obj)
+    return 0, _render(args.format, obj, _SPOT_COLUMNS, rows)
+
+
+_BOUNDS_COLUMNS = (
+    ("n", itemgetter("n")),
+    ("simple_ulps", itemgetter("simple_ulps")),
+    ("psi_ulps", lambda r: r["psi_ulps"]["decimal"]),
+    ("gamma_ulps", lambda r: r["gamma_ulps"]["decimal"]),
+    ("within_n_max", itemgetter("within_n_max")),
+)
 
 
 def _cmd_bounds(args: argparse.Namespace) -> tuple[int, str]:
     ns = _parse_range(args.n)
-    if ns.stop > MAX_BOUNDS_N:
+    if ns[-1] > MAX_BOUNDS_N:
         raise CliError(f"bounds tables are limited to n <= {MAX_BOUNDS_N}")
     cutoff = n_max(args.p)
-    header = ["n", "simple_ulps", "psi_ulps", "gamma_ulps", "within_n_max"]
-    rows, json_rows = [], []
-    notes = []
+    rows = []
     for n in ns:
         b = bound_set(args.p, n)
-        psi_u = _error_obj(b.psi / b.u, args.digits)
-        gamma_u = _error_obj(b.gamma / b.u, args.digits)
-        within = n <= cutoff
         rows.append(
-            [str(n), str(n - 1), psi_u["decimal"], gamma_u["decimal"], str(within).lower()]
-        )
-        json_rows.append(
             {
                 "n": n,
                 "simple_ulps": n - 1,
-                "psi_ulps": psi_u,
-                "gamma_ulps": gamma_u,
-                "within_n_max": within,
+                "psi_ulps": _error_obj(b.psi / b.u, args.digits),
+                "gamma_ulps": _error_obj(b.gamma / b.u, args.digits),
+                "within_n_max": n <= cutoff,
             }
         )
-        if not within:
-            notes.append(f"note: n={n} exceeds n_max({args.p})={cutoff}")
     obj = {
         "schema_version": SCHEMA_VERSION,
         "command": "bounds",
         "p": args.p,
         "n_max": cutoff,
-        "rows": json_rows,
+        "rows": rows,
     }
-    text = _render(args.format, header, rows, obj)
-    if args.format != "json" and notes:
-        text += "\n".join(notes) + "\n"
+    text = _render(args.format, obj, _BOUNDS_COLUMNS, rows)
+    if args.format != "json":
+        for n in ns:
+            if n > cutoff:
+                text += f"note: n={n} exceeds n_max({args.p})={cutoff}\n"
     return 0, text
+
+
+_FIELD_VALUE_COLUMNS = (("field", itemgetter(0)), ("value", itemgetter(1)))
 
 
 def _cmd_adversary(args: argparse.Namespace) -> tuple[int, str]:
@@ -289,53 +296,51 @@ def _cmd_adversary(args: argparse.Namespace) -> tuple[int, str]:
         "all_down": report.all_down,
         "passed": report.passed,
     }
-    if args.format == "json":
-        text = _canonical_json(obj)
-    else:
-        header = ["field", "value"]
-        rows = [
-            ["p", str(args.p)],
-            ["n", str(args.n)],
-            ["achieved_error_ulps", err["decimal"]],
-            ["fraction", err["fraction"]],
-            ["error_bound_ulps", str(report.error_bound)],
-            ["gap_ulps", gap["decimal"]],
-            ["all_down", str(report.all_down).lower()],
-            ["passed", str(report.passed).lower()],
-        ]
-        for i, f in enumerate(factors, start=1):
-            rows.append([f"a{i}", f])
-        text = _render(args.format, header, rows, obj)
+    rows = [
+        ("p", args.p),
+        ("n", args.n),
+        ("achieved_error_ulps", err["decimal"]),
+        ("fraction", err["fraction"]),
+        ("error_bound_ulps", report.error_bound),
+        ("gap_ulps", gap["decimal"]),
+        ("all_down", report.all_down),
+        ("passed", report.passed),
+        *((f"a{i}", f) for i, f in enumerate(factors, start=1)),
+    ]
+    text = _render(args.format, obj, _FIELD_VALUE_COLUMNS, rows)
     return (0 if report.passed else 1), text
 
 
+_VERIFY_COLUMNS = (
+    ("status", lambda r: "pass" if r["passed"] else "FAIL"),
+    ("check", itemgetter("name")),
+    ("cases", itemgetter("checked")),
+)
+
+
 def _cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
-    checks = [check_property1(), check_lemma2(), check_refined_binary32_bound()]
-    json_checks = [
-        {"name": c.name, "passed": c.passed, "checked": c.checked} for c in checks
-    ]
-    rows = [
-        ["pass" if c.passed else "FAIL", c.name, str(c.checked)] for c in checks
+    checks = [
+        {"name": c.name, "passed": c.passed, "checked": c.checked}
+        for c in (check_property1(), check_lemma2(), check_refined_binary32_bound())
     ]
     if args.p is not None:
         for n in _parse_range(args.n):
             report = verify_sequence(build_sequence(args.p, n))
-            name = f"sequence p={args.p} n={n}"
-            rows.append(
-                ["pass" if report.passed else "FAIL", name, str(len(report.directions))]
+            checks.append(
+                {
+                    "name": f"sequence p={args.p} n={n}",
+                    "passed": report.passed,
+                    "checked": len(report.directions),
+                }
             )
-            json_checks.append(
-                {"name": name, "passed": report.passed, "checked": len(report.directions)}
-            )
-    ok = all(c["passed"] for c in json_checks)
+    ok = all(c["passed"] for c in checks)
     obj = {
         "schema_version": SCHEMA_VERSION,
         "command": "verify",
-        "checks": json_checks,
+        "checks": checks,
         "passed": ok,
     }
-    text = _render(args.format, ["status", "check", "cases"], rows, obj)
-    return (0 if ok else 1), text
+    return (0 if ok else 1), _render(args.format, obj, _VERIFY_COLUMNS, checks)
 
 
 # Scenario name -> argv.  Golden file is <name>.json under the golden dir.
@@ -442,12 +447,14 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--checkpoint", help="resumable state file (single n only)")
     s.add_argument("--around", type=int, help="scan only near this significand")
     s.add_argument("--radius", type=int, default=4096, help="window half-width")
-    s.add_argument("--force", action="store_true", help="override the p<=26 guard")
+    s.add_argument(
+        "--force", action="store_true", help=f"override the p<={PRECISION_GUARD} guard"
+    )
     s.add_argument("--progress", action="store_true", help="progress on stderr")
     s.add_argument(
         "--chunk-size",
         type=int,
-        default=1 << 20,
+        default=DEFAULT_CHUNK_SIZE,
         help="candidates per work unit and checkpoint interval",
     )
     _add_common(s)

@@ -70,6 +70,7 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -125,21 +126,9 @@ def _scan_chunk(args: tuple[int, int, bool, int, int]) -> tuple[int, int, int, i
 
     Returns (best_num, best_den, best_k, violations) where best_num/best_den
     is the largest error in ulps over the range (unreduced) and best_k the
-    smallest k attaining it.  Two kernels compute the same tuple:
-
-    * TIES_EVEN at p <= 26 with 2 <= n <= 2**(p+8) + 1 runs
-      ``_scan_binary64``.  It assumes binary64 floats that round to
-      nearest, ties to even.  Then each p-bit rounding ``(z + C) - C`` is
-      exact, and the estimate rho_hat of (computed power) / x**n takes n
-      roundings of relative size at most u = 2**-53.  So rho_hat is within
-      gamma_n * rho of the true ratio rho, with gamma_n = n*u / (1 - n*u)
-      (Higham, Lemma 3.1).  A candidate is skipped only when every rho
-      that bound allows lies within the (n-1)-ulp line and within a
-      floor of an earlier candidate's error (pass 1) or strictly below
-      the best exact error (pass 2); every other one is scored exactly.
-    * Everything else runs ``_scan_exact``, the integer reference.
-
-    The module docstring gives the proof in full.
+    smallest k attaining it.  TIES_EVEN at p <= 26 with 2 <= n <= 2**(p+8) + 1
+    runs ``_scan_binary64``; everything else runs ``_scan_exact``.  Both
+    return the same tuple; the module docstring gives the proof.
     """
     p, n, ties_away = args[:3]
     if not ties_away and p <= _BINARY64_MAX_P and 2 <= n <= (1 << (p + 8)) + 1:
@@ -309,11 +298,21 @@ def _write_checkpoint(path: str, payload: dict) -> None:
             "best_num": str(payload["best_num"]),
             "best_den": str(payload["best_den"]),
         }
-    tmp = path + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
-    os.replace(tmp, path)
+    # A unique temp file in the same directory, synced before the rename,
+    # so a crash leaves either the old checkpoint or the new one.
+    fd, tmp = tempfile.mkstemp(
+        dir=os.path.dirname(path) or ".", prefix=os.path.basename(path) + "."
+    )
+    try:
+        with os.fdopen(fd, "w") as f:
+            json.dump(payload, f, indent=2, sort_keys=True)
+            f.write("\n")
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _load_checkpoint(path: str, expect: dict) -> dict | None:

@@ -21,7 +21,6 @@ __all__ = [
     "fp_mul",
     "normalized_fraction",
     "round_nearest",
-    "to_rational",
 ]
 
 # Exponents are confined to a fixed signed range so a runaway computation
@@ -186,8 +185,3 @@ def normalized_fraction(t: Fraction | int) -> Fraction:
     if e >= 0:
         return Fraction(t.numerator, t.denominator << e)
     return t * (1 << -e)
-
-
-def to_rational(a: FpNumber) -> Fraction:
-    """Exact rational value of ``a``."""
-    return a.to_fraction()

@@ -1,9 +1,11 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from ulplab import (
+    FpNumber,
     RoundingMode,
     build_sequence,
     iterated_product,
@@ -128,10 +130,32 @@ class TestVerifySequence:
 
     def test_exact_product_matches_fraction_multiply(self):
         seq = build_sequence(24, 8)
-        prod = Fraction(1)
-        for f in seq.factors:
-            prod *= f.to_fraction()
-        assert seq.exact_product() == prod
+        rng = random.Random(8)
+
+        def random_factor(p):
+            sig = rng.randrange(1 << (p - 1), 1 << p)
+            return FpNumber(rng.choice((1, -1)), sig, rng.randint(-300, 300), p)
+
+        factor_lists = [
+            seq.factors,
+            (),
+            (FpNumber(1, 128, 7, 8),),  # shift 0: the integer 128
+            (FpNumber(-1, 129, 30, 8), FpNumber(1, 255, 9, 8)),  # positive shift
+            (FpNumber(-1, 129, -30, 8), FpNumber(-1, 8388609, 40, 24)),
+            seq.factors + (FpNumber.zero(24),),
+        ] + [
+            tuple(random_factor(rng.choice((8, 24, 53))) for _ in range(rng.randint(1, 12)))
+            for _ in range(60)
+        ]
+        for factors in factor_lists:
+            # forged: the trace and error belong to seq, not to these factors
+            forged = AdversarySequence(
+                seq.p, len(factors), factors, seq.trace, seq.achieved_error
+            )
+            prod = Fraction(1)
+            for f in factors:
+                prod *= f.to_fraction()
+            assert forged.exact_product() == prod
 
 
 class TestReferenceErrors:

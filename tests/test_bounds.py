@@ -5,21 +5,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ulplab import (
-    alpha,
-    alpha_below_limit,
-    alpha_exceeds_beta,
-    beta,
     bound_set,
     check_lemma2,
     check_property1,
     check_refined_binary32_bound,
     n_max,
-    threshold_constants,
     to_decimal,
     unit_roundoff,
 )
-
-ENCLOSURE_WIDTH = Fraction(1, 1 << 80)
 
 
 class TestBoundSet:
@@ -84,47 +77,6 @@ class TestNMax:
         assert (m * m + (1 << p)) ** 3 > 1 << (3 * p + 1)
 
 
-class TestEnclosures:
-    def test_beta_digits(self):
-        enc = beta()
-        assert enc.width <= ENCLOSURE_WIDTH
-        # both ends agree on the quoted digits
-        assert to_decimal(enc.lo, 13) == "0.5098245285339"
-        assert to_decimal(enc.hi, 13) == "0.5098245285339"
-
-    def test_alpha5_digits(self):
-        enc = alpha(5)
-        assert enc.width <= ENCLOSURE_WIDTH
-        assert to_decimal(enc.lo, 5) == "0.74509"
-        assert to_decimal(enc.hi, 5) == "0.74509"
-
-    def test_alpha_monotone_in_p(self):
-        assert alpha(6).lo > alpha(5).hi
-
-    def test_alpha_below_limit(self):
-        # the limit is sqrt(2**(2/3) - 1) = 0.7664209...
-        for p in (5, 8, 24, 53, 113, 120):
-            assert alpha_below_limit(p)
-        big = alpha(120)
-        assert to_decimal(big.lo, 7) == "0.7664209"
-
-    def test_alpha_exceeds_beta_over_range(self):
-        for p in range(5, 121):
-            assert alpha_exceeds_beta(p)
-
-    def test_threshold_constants_bundle(self):
-        tc = threshold_constants(24)
-        assert tc.n_max == 2088
-        assert tc.alpha.lo > tc.beta.hi
-        assert tc.alpha.width <= ENCLOSURE_WIDTH
-        assert tc.beta.width <= ENCLOSURE_WIDTH
-
-    def test_enclosures_shrink_with_bits(self):
-        assert beta(120).width < beta(80).width
-        assert beta(120).lo >= beta(80).lo
-        assert beta(120).hi <= beta(80).hi
-
-
 class TestPropertyChecks:
     def test_property1(self):
         report = check_property1()
@@ -153,10 +105,6 @@ class TestPropertyChecks:
         u = Fraction(2, 3 * n * n)
         lhs = (1 + u) ** (n - 2) * (1 + u / (1 + n * n * u))
         assert lhs <= 1 + (n - 1) * u
-
-    def test_lemma2_rejects_tiny_n(self):
-        with pytest.raises(ValueError):
-            check_lemma2(n_grid=[2])
 
     def test_refined_binary32(self):
         report = check_refined_binary32_bound()

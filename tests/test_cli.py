@@ -183,6 +183,17 @@ class TestBoundsCommand:
         with pytest.raises(CliError):
             run(["bounds", "--p", "24", "--n", "2000000"])
 
+    @pytest.mark.parametrize("n,allowed", [("10000", True), ("10001", False)])
+    def test_size_limit_includes_its_last_n(self, n, allowed):
+        argv = ["bounds", "--p", "24", "--n", n]
+        if not allowed:
+            with pytest.raises(CliError, match="limited to n <= 10000"):
+                run(argv)
+            return
+        code, text = run(argv)
+        assert code == 0
+        assert text.splitlines()[1].split()[0] == "10000"
+
 
 class TestAdversaryCommand:
     def test_json_report(self):
@@ -224,6 +235,117 @@ class TestVerifyCommand:
         obj = json.loads(text)
         assert len(obj["checks"]) == 5
         assert all(c["passed"] for c in obj["checks"])
+
+
+# Table and csv bytes, generated before the report path was shared by all
+# commands; the json bytes are pinned by the goldens.
+PINNED_TEXT = [
+    (
+        ["search", "--p", "8", "--n", "3"],
+        "table",
+        "n  max_error_ulps  fraction        argmax_x  scanned  violations\n"
+        "3  1.359882479     1024768/753571  182/2^7   128      0\n",
+    ),
+    (
+        ["search", "--p", "8", "--n", "3"],
+        "csv",
+        "n,max_error_ulps,fraction,argmax_x,scanned,violations\n"
+        "3,1.359882479,1024768/753571,182/2^7,128,0\n",
+    ),
+    (
+        ["spot", "--p", "24", "--x", "8473808/2^23", "--n", "6"],
+        "table",
+        "n  error_ulps   fraction\n"
+        "6  4.328005618  95507974985190670908439149894696960/"
+        "22067433225457203871395073751863609\n",
+    ),
+    (
+        ["spot", "--p", "24", "--x", "8473808/2^23", "--n", "6"],
+        "csv",
+        "n,error_ulps,fraction\n"
+        "6,4.328005618,95507974985190670908439149894696960/"
+        "22067433225457203871395073751863609\n",
+    ),
+    (
+        ["bounds", "--p", "24", "--n", "2086..2089"],
+        "table",
+        "n     simple_ulps  psi_ulps        gamma_ulps      within_n_max\n"
+        "2086  2085         2085.129500622  2085.259147007  true\n"
+        "2087  2086         2086.129624905  2086.259395664  true\n"
+        "2088  2087         2087.129749248  2087.259644441  true\n"
+        "2089  2088         2088.129873651  2088.259893337  false\n"
+        "note: n=2089 exceeds n_max(24)=2088\n",
+    ),
+    (
+        ["bounds", "--p", "24", "--n", "2086..2089"],
+        "csv",
+        "n,simple_ulps,psi_ulps,gamma_ulps,within_n_max\n"
+        "2086,2085,2085.129500622,2085.259147007,true\n"
+        "2087,2086,2086.129624905,2086.259395664,true\n"
+        "2088,2087,2087.129749248,2087.259644441,true\n"
+        "2089,2088,2088.129873651,2088.259893337,false\n"
+        "note: n=2089 exceeds n_max(24)=2088\n",
+    ),
+    (
+        ["adversary", "--p", "24", "--n", "4"],
+        "table",
+        "field                value\n"
+        "p                    24\n"
+        "n                    4\n"
+        "achieved_error_ulps  2.997397951\n"
+        "fraction             1179807173507110928384/393610455629518170909\n"
+        "error_bound_ulps     3\n"
+        "gap_ulps             0.002602048\n"
+        "all_down             true\n"
+        "passed               true\n"
+        "a1                   4097/4096\n"
+        "a2                   4097/4096\n"
+        "a3                   8387583/8388608\n"
+        "a4                   8387241/8388608\n",
+    ),
+    (
+        ["adversary", "--p", "24", "--n", "4"],
+        "csv",
+        "field,value\n"
+        "p,24\n"
+        "n,4\n"
+        "achieved_error_ulps,2.997397951\n"
+        "fraction,1179807173507110928384/393610455629518170909\n"
+        "error_bound_ulps,3\n"
+        "gap_ulps,0.002602048\n"
+        "all_down,true\n"
+        "passed,true\n"
+        "a1,4097/4096\n"
+        "a2,4097/4096\n"
+        "a3,8387583/8388608\n"
+        "a4,8387241/8388608\n",
+    ),
+    (
+        ["verify", "--p", "24", "--n", "10"],
+        "table",
+        "status  check               cases\n"
+        "pass    property1           177\n"
+        "pass    lemma2              296\n"
+        "pass    refined_binary32    2079\n"
+        "pass    sequence p=24 n=10  9\n",
+    ),
+    (
+        ["verify", "--p", "24", "--n", "10"],
+        "csv",
+        "status,check,cases\n"
+        "pass,property1,177\n"
+        "pass,lemma2,296\n"
+        "pass,refined_binary32,2079\n"
+        "pass,sequence p=24 n=10,9\n",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,fmt,expected", PINNED_TEXT, ids=[f"{a[0]}-{f}" for a, f, _ in PINNED_TEXT]
+)
+def test_table_and_csv_bytes(argv, fmt, expected):
+    assert run(argv + ["--format", fmt]) == (0, expected)
 
 
 @pytest.fixture(scope="module")

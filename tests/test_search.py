@@ -388,6 +388,44 @@ class TestCheckpointing:
         assert clean[0] == 0
         assert resumed == finished == clean
 
+    def test_existing_tmp_directory_does_not_block_writes(self, tmp_path):
+        ck = tmp_path / "scan.json"
+        (tmp_path / "scan.json.tmp").mkdir()
+        report = exhaustive_max_error(10, 3, chunk_size=128, checkpoint=str(ck))
+        assert report == exhaustive_max_error(10, 3, chunk_size=128)
+        assert json.loads(ck.read_text())["next_k"] == 512
+
+    def test_no_temp_file_left_behind(self, tmp_path):
+        ck = tmp_path / "scan.json"
+        exhaustive_max_error(10, 3, chunk_size=128, checkpoint=str(ck))
+        assert [f.name for f in tmp_path.iterdir()] == ["scan.json"]
+
+    def test_fsync_runs_before_replace(self, tmp_path, monkeypatch):
+        events = []
+        real_fsync, real_replace = search.os.fsync, search.os.replace
+
+        def fsync(fd):
+            events.append("fsync")
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append("replace")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(search.os, "fsync", fsync)
+        monkeypatch.setattr(search.os, "replace", replace)
+        exhaustive_max_error(10, 3, chunk_size=128, checkpoint=str(tmp_path / "scan.json"))
+        assert events == ["fsync", "replace"] * 4
+
+    def test_failed_write_removes_temp_file(self, tmp_path, monkeypatch):
+        def replace(src, dst):
+            raise OSError("disk gone")
+
+        monkeypatch.setattr(search.os, "replace", replace)
+        with pytest.raises(OSError, match="disk gone"):
+            exhaustive_max_error(10, 3, chunk_size=128, checkpoint=str(tmp_path / "scan.json"))
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_schema_rejected(self, tmp_path):
         ck = tmp_path / "scan.json"
         ck.write_text('{"schema_version": 99}')

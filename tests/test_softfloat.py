@@ -12,7 +12,6 @@ from ulplab import (
     fp_mul,
     normalized_fraction,
     round_nearest,
-    to_rational,
 )
 from oracle import oracle_round
 
@@ -246,12 +245,12 @@ class TestFpMul:
 
 class TestToRational:
     def test_one(self):
-        assert to_rational(FpNumber(1, 128, 0, 8)) == 1
+        assert FpNumber(1, 128, 0, 8).to_fraction() == 1
 
     def test_sequence_seed_value(self):
         # 8390656 * 2**-23 at p = 24 is 4097/4096 in lowest terms
-        assert to_rational(FpNumber(1, 8390656, 0, 24)) == Fraction(4097, 4096)
+        assert FpNumber(1, 8390656, 0, 24).to_fraction() == Fraction(4097, 4096)
 
     @given(x=fp_numbers(16))
     def test_round_trip(self, x):
-        assert round_nearest(to_rational(x), 16) == x
+        assert round_nearest(x.to_fraction(), 16) == x
