@@ -14,13 +14,7 @@ from .adversary import (
     build_sequence,
     verify_sequence,
 )
-from .algorithms import (
-    PowerStep,
-    PowerTrace,
-    ProductTrace,
-    iterated_product,
-    naive_power,
-)
+from .algorithms import ProductTrace, iterated_product, naive_power, step_directions
 from .bounds import (
     BoundSet,
     CheckReport,
@@ -53,8 +47,6 @@ __all__ = [
     "EXPONENT_LIMIT",
     "ExponentRangeError",
     "FpNumber",
-    "PowerStep",
-    "PowerTrace",
     "ProductTrace",
     "RoundingMode",
     "SearchReport",
@@ -74,6 +66,7 @@ __all__ = [
     "relative_error",
     "round_nearest",
     "spot_error",
+    "step_directions",
     "to_decimal",
     "unit_roundoff",
     "verify_sequence",

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algorithms import DOWN, ProductTrace, _mul_direction, iterated_product
+from .algorithms import DOWN, ProductTrace, iterated_product, step_directions
 from .exact import ErrorInUlps, relative_error
 from .softfloat import FpNumber, RoundingMode, fp_mul, round_nearest
 
@@ -152,8 +152,7 @@ def verify_sequence(seq: AdversarySequence) -> SequenceReport:
     """
     trace = iterated_product(seq.factors, RoundingMode.TIES_EVEN)
     consistent = trace == seq.trace
-    steps = zip(trace.partials, trace.factors[1:], trace.partials[1:])
-    directions = [_mul_direction(prev, f, rounded) for prev, f, rounded in steps]
+    directions = step_directions(trace)
     all_down = all(d == DOWN for d in directions)
     achieved = relative_error(trace.final, seq.exact_product())
     bound = seq.n - 1
@@ -161,7 +160,7 @@ def verify_sequence(seq: AdversarySequence) -> SequenceReport:
     return SequenceReport(
         p=seq.p,
         n=seq.n,
-        directions=tuple(directions),
+        directions=directions,
         all_down=all_down,
         achieved_error=achieved,
         error_bound=bound,

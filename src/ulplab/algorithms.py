@@ -1,10 +1,11 @@
-"""The two evaluation schemes under study, with full per-step traces.
+"""The two evaluation schemes under study.
 
-``naive_power`` computes x**n by n-1 successive multiplications by x;
-``iterated_product`` folds a factor list strictly left to right.  Traces
-keep every intermediate together with the rounding direction of each
-step, which is what the worst-case forensics and the downward-rounding
-checks feed on.
+``naive_power`` computes x**n by n-1 successive multiplications by x and
+returns the rounded power; ``iterated_product`` folds a factor list
+strictly left to right and keeps every partial in a ``ProductTrace``.
+``step_directions`` reads off which way each of a trace's roundings went,
+which is what the downward-rounding checks feed on.  The steps of x**n
+are those of ``iterated_product([x] * n)``.
 """
 
 from __future__ import annotations
@@ -14,11 +15,10 @@ from dataclasses import dataclass
 from .softfloat import FpNumber, RoundingMode, fp_mul
 
 __all__ = [
-    "PowerStep",
-    "PowerTrace",
     "ProductTrace",
     "iterated_product",
     "naive_power",
+    "step_directions",
 ]
 
 # Sign of (rounded - exact) for one multiplication.
@@ -43,21 +43,6 @@ def _mul_direction(a: FpNumber, b: FpNumber, result: FpNumber) -> str:
 
 
 @dataclass(frozen=True)
-class PowerStep:
-    k: int  # this step produced the approximation of x**k
-    value: FpNumber
-    direction: str
-
-
-@dataclass(frozen=True)
-class PowerTrace:
-    x: FpNumber
-    n: int
-    steps: tuple[PowerStep, ...]
-    final: FpNumber
-
-
-@dataclass(frozen=True)
 class ProductTrace:
     factors: tuple[FpNumber, ...]
     partials: tuple[FpNumber, ...]  # running rounded products, first is factors[0]
@@ -68,20 +53,14 @@ def naive_power(
     x: FpNumber,
     n: int,
     mode: RoundingMode = RoundingMode.TIES_EVEN,
-) -> PowerTrace:
-    """Iterate y <- round(x * y) for k = 2..n, recording every step.
-
-    n = 1 returns x itself with an empty step list.
-    """
+) -> FpNumber:
+    """Iterate y <- round(x * y) for k = 2..n and return y; n = 1 gives x."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    steps = []
     y = x
-    for k in range(2, n + 1):
-        prev = y
+    for _ in range(n - 1):
         y = fp_mul(x, y, mode)
-        steps.append(PowerStep(k, y, _mul_direction(x, prev, y)))
-    return PowerTrace(x, n, tuple(steps), y)
+    return y
 
 
 def iterated_product(
@@ -101,3 +80,9 @@ def iterated_product(
         acc = fp_mul(acc, f, mode)
         partials.append(acc)
     return ProductTrace(tuple(factors), tuple(partials), acc)
+
+
+def step_directions(trace: ProductTrace) -> tuple[str, ...]:
+    """DOWN, EXACT or UP for each of the trace's rounded multiplications."""
+    steps = zip(trace.partials, trace.factors[1:], trace.partials[1:])
+    return tuple(_mul_direction(prev, f, rounded) for prev, f, rounded in steps)

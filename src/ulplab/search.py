@@ -72,6 +72,7 @@ import json
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -398,33 +399,28 @@ def exhaustive_max_error(
         for lo in range(next_k, k_stop, chunk_size)
     ]
 
-    def finish_chunk(done_upto: int) -> None:
-        if checkpoint:
-            num, den, bk, viol = state
-            _write_checkpoint(
-                checkpoint,
-                {
-                    "schema_version": CHECKPOINT_SCHEMA_VERSION,
-                    **expect,
-                    "next_k": done_upto,
-                    "best_num": num,
-                    "best_den": den,
-                    "best_k": bk,
-                    "violations": viol,
-                },
-            )
-        if progress:
-            progress(done_upto - k_start, k_stop - k_start)
-
-    if jobs > 1 and len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for chunk, part in zip(chunks, pool.map(_scan_chunk, chunks)):
-                state = _merge(state, part)
-                finish_chunk(chunk[4])
-    else:
-        for chunk in chunks:
-            state = _merge(state, _scan_chunk(chunk))
-            finish_chunk(chunk[4])
+    pooled = jobs > 1 and len(chunks) > 1
+    with ProcessPoolExecutor(max_workers=jobs) if pooled else nullcontext() as pool:
+        parts = (pool.map if pooled else map)(_scan_chunk, chunks)
+        for chunk, part in zip(chunks, parts):
+            state = _merge(state, part)
+            done_upto = chunk[4]
+            if checkpoint:
+                num, den, bk, viol = state
+                _write_checkpoint(
+                    checkpoint,
+                    {
+                        "schema_version": CHECKPOINT_SCHEMA_VERSION,
+                        **expect,
+                        "next_k": done_upto,
+                        "best_num": num,
+                        "best_den": den,
+                        "best_k": bk,
+                        "violations": viol,
+                    },
+                )
+            if progress:
+                progress(done_upto - k_start, k_stop - k_start)
 
     num, den, best_k, violations = state
     argmax = FpNumber(1, (1 << (p - 1)) + best_k, 0, p)
@@ -447,5 +443,4 @@ def spot_error(
     mode: RoundingMode = RoundingMode.TIES_EVEN,
 ) -> ErrorInUlps:
     """Exact relative error of naive_power(x, n) against the rational x**n."""
-    trace = naive_power(x, n, mode)
-    return relative_error(trace.final, x.to_fraction() ** n)
+    return relative_error(naive_power(x, n, mode), x.to_fraction() ** n)

@@ -9,10 +9,13 @@ from ulplab import (
     ExponentRangeError,
     FpNumber,
     RoundingMode,
+    fp_mul,
     iterated_product,
     naive_power,
     round_nearest,
+    step_directions,
 )
+import ulplab.algorithms
 from ulplab.algorithms import DOWN, EXACT, UP
 from oracle import oracle_power, oracle_product
 
@@ -33,8 +36,8 @@ def fp_in_unit_binade(p):
 class TestNaivePower:
     def test_n1_is_identity(self):
         x = round_nearest(Fraction(3, 2), 8)
-        trace = naive_power(x, 1)
-        assert trace.final == x and trace.steps == ()
+        assert naive_power(x, 1) == x
+        assert step_directions(iterated_product([x])) == ()
 
     def test_n_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -42,28 +45,38 @@ class TestNaivePower:
 
     def test_power_of_one_is_exact(self):
         one = round_nearest(1, 24)
-        trace = naive_power(one, 100)
-        assert trace.final.to_fraction() == 1
-        assert all(s.direction == EXACT for s in trace.steps)
+        assert naive_power(one, 100).to_fraction() == 1
+        assert set(step_directions(iterated_product([one] * 100))) == {EXACT}
 
     def test_step_structure(self):
         x = FpNumber(1, 182, 0, 8)
-        trace = naive_power(x, 5)
-        assert [s.k for s in trace.steps] == [2, 3, 4, 5]
-        assert trace.final == trace.steps[-1].value
+        trace = iterated_product([x] * 5)
+        assert len(trace.partials) == 5 and len(step_directions(trace)) == 4
+        assert naive_power(x, 5) == trace.final == trace.partials[-1]
         # each step is the rounded product of x with the previous value
-        prev = x
-        for step in trace.steps:
-            from ulplab import fp_mul
+        for prev, value in zip(trace.partials, trace.partials[1:]):
+            assert value == fp_mul(x, prev)
 
-            assert step.value == fp_mul(x, prev)
-            prev = step.value
+    def test_calls_fp_mul_once_per_step(self, monkeypatch):
+        # the benchmark's tracer counts naive_power's multiplications at
+        # ulplab.algorithms.fp_mul, so every step must go through that name
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return fp_mul(*args)
+
+        monkeypatch.setattr(ulplab.algorithms, "fp_mul", counting)
+        x = FpNumber(1, 182, 0, 8)
+        for n in (1, 2, 7):
+            calls.clear()
+            naive_power(x, n)
+            assert len(calls) == n - 1
 
     def test_directions_recorded(self):
         # (1 + 2**-7)**2 rounds down at p = 8
         x = round_nearest(1 + Fraction(1, 128), 8)
-        trace = naive_power(x, 2)
-        assert trace.steps[0].direction == DOWN
+        assert step_directions(iterated_product([x, x])) == (DOWN,)
 
     @given(
         x=fp_in_unit_binade(10),
@@ -72,15 +85,14 @@ class TestNaivePower:
     )
     @settings(max_examples=200)
     def test_matches_independent_oracle(self, x, n, mode):
-        trace = naive_power(x, n, mode)
         want = oracle_power(x.to_fraction(), n, 10, ties_away=mode is AWAY)
-        assert trace.final.to_fraction() == want
+        assert naive_power(x, n, mode).to_fraction() == want
 
     @given(x=fp_in_unit_binade(12), n=st.integers(min_value=1, max_value=10))
     def test_scale_equivariance(self, x, n):
         doubled = FpNumber(x.sign, x.significand, x.exponent + 1, x.precision)
-        a = naive_power(x, n).final.to_fraction()
-        b = naive_power(doubled, n).final.to_fraction()
+        a = naive_power(x, n).to_fraction()
+        b = naive_power(doubled, n).to_fraction()
         assert b == a * (1 << n)
 
     def test_exponent_overflow_reported(self):
@@ -111,14 +123,15 @@ class TestIteratedProduct:
         assert len(trace.partials) == 3
         assert trace.final == trace.partials[-1]
 
-    def test_repeated_factor_equals_naive_power(self):
-        x = FpNumber(1, 182, 0, 8)
-        trace_prod = iterated_product([x] * 7)
-        trace_pow = naive_power(x, 7)
-        assert trace_prod.final == trace_pow.final
-        assert [pp.to_fraction() for pp in trace_prod.partials[1:]] == [
-            s.value.to_fraction() for s in trace_pow.steps
-        ]
+    @given(
+        x=st.integers(min_value=8, max_value=12).flatmap(fp_in_unit_binade),
+        n=st.integers(min_value=1, max_value=12),
+        mode=st.sampled_from([EVEN, AWAY]),
+    )
+    @settings(max_examples=200)
+    def test_repeated_factor_equals_naive_power(self, x, n, mode):
+        trace = iterated_product([x] * n, mode)
+        assert trace.partials == tuple(naive_power(x, k, mode) for k in range(1, n + 1))
 
     @given(
         sigs=st.lists(
@@ -166,10 +179,10 @@ class TestSmallInputsRoundDown:
         assert limit >= 1
         for k in range(1, limit + 1):
             x = FpNumber(1, (1 << (p - 1)) + k, 0, p)
-            sq = naive_power(x, 2, mode).steps[0]
-            assert sq.direction == DOWN
+            sq = iterated_product([x, x], mode)
+            assert step_directions(sq) == (DOWN,)
             expect = 1 + Fraction(2 * k, 1 << (p - 1))
-            assert sq.value.to_fraction() == expect
+            assert sq.final.to_fraction() == expect
 
     def test_boundary_k_ties_even_still_rounds_down(self):
         # at k*k == 2**(p-2) the discarded square term is exactly half a
@@ -177,15 +190,13 @@ class TestSmallInputsRoundDown:
         p = 8
         k = 8  # k*k == 64 == 2**6
         x = FpNumber(1, (1 << 7) + k, 0, p)
-        sq = naive_power(x, 2, EVEN).steps[0]
-        assert sq.direction == DOWN
+        assert step_directions(iterated_product([x, x], EVEN)) == (DOWN,)
 
     def test_boundary_k_ties_away_rounds_up(self):
         p = 8
         k = 8
         x = FpNumber(1, (1 << 7) + k, 0, p)
-        sq = naive_power(x, 2, AWAY).steps[0]
-        assert sq.direction == UP
+        assert step_directions(iterated_product([x, x], AWAY)) == (UP,)
 
 
 class TestDownwardStepCapsError:
@@ -204,8 +215,8 @@ class TestDownwardStepCapsError:
             x = FpNumber(1, (1 << (p - 1)) + k, 0, p)
             xf = x.to_fraction()
             for n in range(2, max_n + 1):
-                trace = naive_power(x, n)
-                if any(s.direction in (DOWN, EXACT) for s in trace.steps):
+                trace = iterated_product([x] * n)
+                if any(d in (DOWN, EXACT) for d in step_directions(trace)):
                     hits += 1
                     assert trace.final.to_fraction() <= (1 + (n - 1) * u) * xf**n
         assert hits > 1000  # the predicate is not vacuous

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -116,6 +117,17 @@ class TestSearchCommand:
         assert lines[0] == "n,max_error_ulps,fraction,argmax_x,scanned,violations"
         assert lines[1].split(",")[0] == "3"
         assert len(lines) == 2
+
+    def test_violations_keep_json_parseable(self):
+        # the violation count lives in the rows; no note follows the JSON
+        code, text = run(["search", "--p", "3", "--n", "3000", "--format", "json"])
+        assert code == 1
+        assert json.loads(text)["rows"][0]["violations"] == 1
+
+    def test_violations_line_ends_table(self):
+        code, text = run(["search", "--p", "3", "--n", "3000"])
+        assert code == 1
+        assert text.endswith("violations: 1 input(s) exceeded the (n-1) ulp bound\n")
 
     def test_table_format_has_header(self):
         _, text = run(["search", "--p", "8", "--n", "3..4"])
@@ -283,8 +295,7 @@ PINNED_TEXT = [
         "2086,2085,2085.129500622,2085.259147007,true\n"
         "2087,2086,2086.129624905,2086.259395664,true\n"
         "2088,2087,2087.129749248,2087.259644441,true\n"
-        "2089,2088,2088.129873651,2088.259893337,false\n"
-        "note: n=2089 exceeds n_max(24)=2088\n",
+        "2089,2088,2088.129873651,2088.259893337,false\n",
     ),
     (
         ["adversary", "--p", "24", "--n", "4"],
@@ -363,6 +374,12 @@ class TestRegressCommand:
 
     def test_clean_rerun_matches(self, golden_dir):
         code, text = run(["regress", "--golden-dir", str(golden_dir)])
+        assert code == 0
+        assert text.endswith(f"{len(GOLDEN_SCENARIOS)}/{len(GOLDEN_SCENARIOS)} scenarios ok\n")
+
+    def test_committed_goldens_match(self):
+        committed = Path(__file__).resolve().parent.parent / "goldens"
+        code, text = run(["regress", "--golden-dir", str(committed)])
         assert code == 0
         assert text.endswith(f"{len(GOLDEN_SCENARIOS)}/{len(GOLDEN_SCENARIOS)} scenarios ok\n")
 

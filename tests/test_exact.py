@@ -90,8 +90,7 @@ class TestToDecimal:
         from ulplab import FpNumber, naive_power
 
         x = FpNumber(1, 8429278, 0, 24)
-        trace = naive_power(x, 10)
-        err = relative_error(trace.final, x.to_fraction() ** 10)
+        err = relative_error(naive_power(x, 10), x.to_fraction() ** 10)
         assert to_decimal(err.value, 9).startswith("7.05960314")
 
     def test_digits_must_be_positive(self):

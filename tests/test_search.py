@@ -438,6 +438,22 @@ class TestCheckpointing:
         assert seen[-1] == (256, 256)
         assert [d for d, _ in seen] == sorted(d for d, _ in seen)
 
+    def test_pooled_scan_checkpoints_like_serial(self, tmp_path):
+        # a pooled scan writes every chunk's checkpoint and progress call in
+        # the same order, with the same bytes, as a serial one
+        def record(jobs):
+            ck = tmp_path / f"scan-{jobs}.json"
+            seen = []
+            report = exhaustive_max_error(
+                10, 4, jobs=jobs, chunk_size=100, checkpoint=str(ck),
+                progress=lambda d, t: seen.append((d, t, ck.read_bytes())),
+            )
+            return report, seen
+
+        serial, pooled = record(1), record(2)
+        assert len(serial[1]) == 6  # 512 candidates in chunks of 100
+        assert pooled == serial
+
 
 class TestPrecisionValidation:
     @pytest.mark.parametrize("p", [1, 0, -3, 2.0])
