@@ -7,67 +7,21 @@ construct factor sequences that push the error to within a sliver of the
 n-1 ulp ceiling.
 """
 
-from .adversary import (
-    AdversarySequence,
-    SequenceConstructionError,
-    SequenceReport,
-    build_sequence,
-    verify_sequence,
-)
-from .algorithms import ProductTrace, iterated_product, naive_power, step_directions
-from .bounds import (
-    BoundSet,
-    CheckReport,
-    bound_set,
-    check_lemma2,
-    check_property1,
-    check_refined_binary32_bound,
-    n_max,
-    unit_roundoff,
-)
-from .exact import ErrorInUlps, relative_error, to_decimal
-from .search import SearchReport, exhaustive_max_error, spot_error
-from .softfloat import (
-    EXPONENT_LIMIT,
-    ExponentRangeError,
-    FpNumber,
-    RoundingMode,
-    fp_mul,
-    normalized_fraction,
-    round_nearest,
-)
+from . import adversary, algorithms, bounds, exact, search, softfloat
+from .adversary import *  # noqa: F403
+from .algorithms import *  # noqa: F403
+from .bounds import *  # noqa: F403
+from .exact import *  # noqa: F403
+from .search import *  # noqa: F403
+from .softfloat import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdversarySequence",
-    "BoundSet",
-    "CheckReport",
-    "ErrorInUlps",
-    "EXPONENT_LIMIT",
-    "ExponentRangeError",
-    "FpNumber",
-    "ProductTrace",
-    "RoundingMode",
-    "SearchReport",
-    "SequenceConstructionError",
-    "SequenceReport",
-    "bound_set",
-    "build_sequence",
-    "check_lemma2",
-    "check_property1",
-    "check_refined_binary32_bound",
-    "exhaustive_max_error",
-    "fp_mul",
-    "iterated_product",
-    "n_max",
-    "naive_power",
-    "normalized_fraction",
-    "relative_error",
-    "round_nearest",
-    "spot_error",
-    "step_directions",
-    "to_decimal",
-    "unit_roundoff",
-    "verify_sequence",
+    *adversary.__all__,
+    *algorithms.__all__,
+    *bounds.__all__,
+    *exact.__all__,
+    *search.__all__,
+    *softfloat.__all__,
 ]

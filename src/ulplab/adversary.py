@@ -72,7 +72,6 @@ class SequenceReport:
     all_down: bool
     achieved_error: ErrorInUlps
     error_bound: int  # n - 1
-    below_bound: bool
     gap: Fraction  # error_bound - achieved_error, in ulps
     passed: bool
 
@@ -156,7 +155,6 @@ def verify_sequence(seq: AdversarySequence) -> SequenceReport:
     all_down = all(d == DOWN for d in directions)
     achieved = relative_error(trace.final, seq.exact_product())
     bound = seq.n - 1
-    below = achieved.value < bound
     return SequenceReport(
         p=seq.p,
         n=seq.n,
@@ -164,7 +162,6 @@ def verify_sequence(seq: AdversarySequence) -> SequenceReport:
         all_down=all_down,
         achieved_error=achieved,
         error_bound=bound,
-        below_bound=below,
         gap=bound - achieved.value,
-        passed=consistent and all_down and below,
+        passed=consistent and all_down and achieved.value < bound,
     )

@@ -70,10 +70,6 @@ def iterated_product(
     """Left-to-right rounded product of the factors, recording every partial."""
     if not factors:
         raise ValueError("at least one factor is required")
-    p = factors[0].precision
-    for f in factors[1:]:
-        if f.precision != p:
-            raise ValueError(f"precision mismatch: {f.precision} vs {p}")
     acc = factors[0]
     partials = [acc]
     for f in factors[1:]:

@@ -34,8 +34,7 @@ class BoundSet:
     """The classical relative-error bounds at precision p for an n-term chain.
 
     All fields are exact rationals (relative errors, not ulp counts):
-    simple = (n-1)u, psi = (1+u)**(n-1) - 1, gamma = (n-1)u / (1-(n-1)u),
-    refined_unit = u/(1+u).
+    simple = (n-1)u, psi = (1+u)**(n-1) - 1, gamma = (n-1)u / (1-(n-1)u).
     """
 
     p: int
@@ -44,7 +43,6 @@ class BoundSet:
     simple: Fraction
     psi: Fraction
     gamma: Fraction
-    refined_unit: Fraction
 
 
 @dataclass(frozen=True)
@@ -78,12 +76,15 @@ def bound_set(p: int, n: int) -> BoundSet:
         simple=k * u,
         psi=(1 + u) ** k - 1,
         gamma=k * u / (1 - k * u),
-        refined_unit=u / (1 + u),
     )
 
 
 def _iroot(a: int, k: int) -> int:
-    """floor(a ** (1/k)) for a >= 0, k >= 1, by integer Newton iteration."""
+    """floor(a ** (1/k)) for a >= 0, k >= 1, by integer Newton iteration.
+
+    Started above the floor, a step never passes below it (AM-GM) and
+    descends while above it, so the first step that does not descend
+    stops exactly at the floor."""
     if a < 0 or k < 1:
         raise ValueError("need a >= 0 and k >= 1")
     if a == 0:
@@ -92,38 +93,21 @@ def _iroot(a: int, k: int) -> int:
     while True:
         y = ((k - 1) * x + a // x ** (k - 1)) // k
         if y >= x:
-            break
+            return x
         x = y
-    while x**k > a:
-        x -= 1
-    while (x + 1) ** k <= a:
-        x += 1
-    return x
-
-
-def _max_below(estimate: int, pred) -> int:
-    """Largest m with pred(m) true, given a within-a-few estimate."""
-    m = max(estimate, 0)
-    while not pred(m):
-        m -= 1
-    while pred(m + 1):
-        m += 1
-    return m
 
 
 def n_max(p: int) -> int:
     """Largest n with n <= sqrt(2**(1/3) - 1) * 2**(p/2), exactly.
 
-    The comparison is squared and cubed into the pure
-    integer predicate (n**2 + 2**p)**3 <= 2**(3p+1), so no rounding of the
-    irrational threshold is involved.
+    Squared and cubed, the comparison is the integer predicate
+    (n**2 + 2**p)**3 <= 2**(3p+1).  For an integer m, m**3 <= B exactly
+    when m <= floor(cbrt(B)), so n is isqrt(floor(cbrt(2**(3p+1))) - 2**p)
+    and no rounding of the irrational threshold is involved.
     """
     if p < 5:
         raise ValueError(f"n_max requires p >= 5, got {p}")
-    two_p = 1 << p
-    bound = 1 << (3 * p + 1)
-    est = isqrt(max(_iroot(bound, 3) - two_p, 0))
-    return _max_below(est, lambda m: (m * m + two_p) ** 3 <= bound)
+    return isqrt(_iroot(1 << (3 * p + 1), 3) - (1 << p))
 
 
 def _property1_grid() -> list[Fraction]:

@@ -109,15 +109,16 @@ def _cell(value) -> str:
     return str(value).lower() if isinstance(value, bool) else str(value)
 
 
-def _render(fmt: str, obj: dict, columns, rows, notes=()) -> str:
-    """json writes ``obj``; table and csv write one line per row, with one
-    cell per ``(header, getter)`` in ``columns``.  Only the table appends
-    ``notes``, one per line: json and csv carry the same facts in fields."""
-    if fmt == "json":
+def _render(args: argparse.Namespace, obj: dict, columns, rows, notes=()) -> str:
+    """json writes ``obj`` under the schema version and command name; table and
+    csv write one line per row, one cell per ``(header, getter)`` in ``columns``.
+    Only the table appends ``notes``: json and csv carry the same facts in fields."""
+    if args.format == "json":
+        obj = {"schema_version": SCHEMA_VERSION, "command": args.command, **obj}
         return json.dumps(obj, indent=2, sort_keys=True) + "\n"
     header = [h for h, _ in columns]
     cells = [[_cell(get(r)) for _, get in columns] for r in rows]
-    if fmt == "csv":
+    if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
@@ -197,15 +198,13 @@ def _cmd_search(args: argparse.Namespace) -> tuple[int, str]:
             }
         )
     obj = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "search",
         "p": args.p,
         "mode": mode.value,
         "rows": rows,
     }
     bad = sum(r["violations"] for r in rows)
     notes = [f"violations: {bad} input(s) exceeded the (n-1) ulp bound"] if bad else []
-    return (1 if bad else 0), _render(args.format, obj, _SEARCH_COLUMNS, rows, notes)
+    return (1 if bad else 0), _render(args, obj, _SEARCH_COLUMNS, rows, notes)
 
 
 _SPOT_COLUMNS = (
@@ -223,14 +222,12 @@ def _cmd_spot(args: argparse.Namespace) -> tuple[int, str]:
         for n in _parse_range(args.n)
     ]
     obj = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "spot",
         "p": args.p,
         "mode": mode.value,
         "x": _fp_repr(x),
         "rows": rows,
     }
-    return 0, _render(args.format, obj, _SPOT_COLUMNS, rows)
+    return 0, _render(args, obj, _SPOT_COLUMNS, rows)
 
 
 _BOUNDS_COLUMNS = (
@@ -260,14 +257,12 @@ def _cmd_bounds(args: argparse.Namespace) -> tuple[int, str]:
             }
         )
     obj = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "bounds",
         "p": args.p,
         "n_max": cutoff,
         "rows": rows,
     }
     notes = [f"note: n={n} exceeds n_max({args.p})={cutoff}" for n in ns if n > cutoff]
-    return 0, _render(args.format, obj, _BOUNDS_COLUMNS, rows, notes)
+    return 0, _render(args, obj, _BOUNDS_COLUMNS, rows, notes)
 
 
 _FIELD_VALUE_COLUMNS = (("field", itemgetter(0)), ("value", itemgetter(1)))
@@ -280,8 +275,6 @@ def _cmd_adversary(args: argparse.Namespace) -> tuple[int, str]:
     err = _error_obj(seq.achieved_error, args.digits)
     gap = _error_obj(report.gap, args.digits)
     obj = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "adversary",
         "p": args.p,
         "n": args.n,
         "factors": factors,
@@ -302,7 +295,7 @@ def _cmd_adversary(args: argparse.Namespace) -> tuple[int, str]:
         ("passed", report.passed),
         *((f"a{i}", f) for i, f in enumerate(factors, start=1)),
     ]
-    text = _render(args.format, obj, _FIELD_VALUE_COLUMNS, rows)
+    text = _render(args, obj, _FIELD_VALUE_COLUMNS, rows)
     return (0 if report.passed else 1), text
 
 
@@ -330,12 +323,10 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
             )
     ok = all(c["passed"] for c in checks)
     obj = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "verify",
         "checks": checks,
         "passed": ok,
     }
-    return (0 if ok else 1), _render(args.format, obj, _VERIFY_COLUMNS, checks)
+    return (0 if ok else 1), _render(args, obj, _VERIFY_COLUMNS, checks)
 
 
 # Scenario name -> argv.  Golden file is <name>.json under the golden dir.
@@ -494,14 +485,14 @@ def run(argv: list[str]) -> tuple[int, str]:
 
     Raises CliError for usage problems so callers can decide how loud to be;
     ``main`` turns that into an exit status of 2.  This is the one place
-    where a library ValueError (a bad p, n or x) becomes a CliError.
+    where a ValueError or OSError (bad p, n, x or checkpoint) becomes a CliError.
     """
     args = _build_parser().parse_args(argv)
     if getattr(args, "digits", 9) < 1:
         raise CliError("--digits must be >= 1")
     try:
         return _HANDLERS[args.command](args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         raise CliError(str(exc)) from None
 
 

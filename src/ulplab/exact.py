@@ -45,7 +45,7 @@ def relative_error(computed: FpNumber, exact: Fraction | int) -> ErrorInUlps:
     return ErrorInUlps(diff * (1 << computed.precision) / abs(exact))
 
 
-def to_decimal(value: Fraction | ErrorInUlps, digits: int = 9) -> str:
+def to_decimal(value: Fraction, digits: int = 9) -> str:
     """Decimal expansion with ``digits`` fractional digits, truncated toward zero.
 
     Truncation (rather than rounding) keeps the output a prefix of the
@@ -54,14 +54,13 @@ def to_decimal(value: Fraction | ErrorInUlps, digits: int = 9) -> str:
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    if isinstance(value, ErrorInUlps):
-        value = value.value
     value = Fraction(value)
     sign = "-" if value < 0 else ""
     num, den = abs(value.numerator), value.denominator
     whole, rem = divmod(num, den)
     frac = rem * 10**digits // den
-    return f"{sign}{whole}.{frac:0{digits}d}"
+    with unlimited_int_digits():  # either part may pass the int-to-str limit
+        return f"{sign}{whole}.{frac:0{digits}d}"
 
 
 class unlimited_int_digits:

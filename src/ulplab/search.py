@@ -81,14 +81,7 @@ from .algorithms import naive_power
 from .exact import ErrorInUlps, relative_error, unlimited_int_digits
 from .softfloat import FpNumber, RoundingMode, _check_precision
 
-__all__ = [
-    "CHECKPOINT_SCHEMA_VERSION",
-    "DEFAULT_CHUNK_SIZE",
-    "PRECISION_GUARD",
-    "SearchReport",
-    "exhaustive_max_error",
-    "spot_error",
-]
+__all__ = ["SearchReport", "exhaustive_max_error", "spot_error"]
 
 # Full scans cost 2**(p-1) exact evaluations; beyond this precision that is
 # no longer a desk-scale run, so it must be requested explicitly.
@@ -317,11 +310,20 @@ def _write_checkpoint(path: str, payload: dict) -> None:
 
 
 def _load_checkpoint(path: str, expect: dict) -> dict | None:
+    """The saved state of this scan, or None for a new file.  Anything but a
+    resumable schema-1 state of this scan is refused, naming the file, and
+    so is a new file in a missing directory, before any scanning."""
     if not os.path.exists(path):
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise ValueError(f"checkpoint {path}: no such directory")
         return None
     with open(path) as f:
-        data = json.load(f)
-    if data.get("schema_version") != CHECKPOINT_SCHEMA_VERSION:
+        try:
+            data = json.load(f)
+        except ValueError as exc:
+            raise ValueError(f"checkpoint {path} is not JSON: {exc}") from None
+    schema = data.get("schema_version") if isinstance(data, dict) else None
+    if schema != CHECKPOINT_SCHEMA_VERSION:
         raise ValueError(f"unsupported checkpoint schema in {path}")
     for key, want in expect.items():
         if data.get(key) != want:
@@ -329,9 +331,25 @@ def _load_checkpoint(path: str, expect: dict) -> dict | None:
                 f"checkpoint {path} was written for {key}={data.get(key)!r}, "
                 f"this scan has {key}={want!r}"
             )
-    with unlimited_int_digits():
-        data["best_num"] = int(data["best_num"])
-        data["best_den"] = int(data["best_den"])
+    k_start, k_stop = expect["k_start"], expect["k_stop"]
+    limits = {
+        "next_k": (k_start, k_stop),
+        "best_k": (k_start, k_stop - 1),
+        "violations": (0, k_stop - k_start),
+    }
+    for key, (lo, hi) in limits.items():
+        v = data.get(key)
+        if type(v) is not int or not lo <= v <= hi:
+            msg = f"{key}={v!r} is not an integer in [{lo}, {hi}]"
+            raise ValueError(f"checkpoint {path}: {msg}")
+    for key in ("best_num", "best_den"):
+        v = data.get(key)
+        if not (isinstance(v, str) and v.isascii() and v.isdigit()):
+            raise ValueError(f"checkpoint {path}: {key} is not a decimal string")
+        with unlimited_int_digits():
+            data[key] = int(v)
+    if data["best_den"] == 0:
+        raise ValueError(f"checkpoint {path}: best_den is 0")
     return data
 
 
@@ -389,10 +407,10 @@ def exhaustive_max_error(
             state = (
                 saved["best_num"],
                 saved["best_den"],
-                int(saved["best_k"]),
-                int(saved["violations"]),
+                saved["best_k"],
+                saved["violations"],
             )
-            next_k = int(saved["next_k"])
+            next_k = saved["next_k"]
 
     chunks = [
         (p, n, ties_away, lo, min(lo + chunk_size, k_stop))

@@ -45,11 +45,6 @@ def _check_precision(p: int) -> None:
         raise ValueError(f"precision must be an integer >= 2, got {p!r}")
 
 
-def _check_exponent(e: int) -> None:
-    if abs(e) > EXPONENT_LIMIT:
-        raise ExponentRangeError(f"exponent {e} outside +/-{EXPONENT_LIMIT}")
-
-
 @dataclass(frozen=True)
 class FpNumber:
     """An immutable precision-p floating-point value.
@@ -75,7 +70,10 @@ class FpNumber:
             raise ValueError(
                 f"significand {X} not normalised for precision {self.precision}"
             )
-        _check_exponent(self.exponent)
+        if abs(self.exponent) > EXPONENT_LIMIT:
+            raise ExponentRangeError(
+                f"exponent {self.exponent} outside +/-{EXPONENT_LIMIT}"
+            )
 
     @property
     def is_zero(self) -> bool:
@@ -137,7 +135,6 @@ def round_nearest(
     if q == 1 << p:  # rounded up across the binade boundary
         q = 1 << (p - 1)
         e += 1
-    _check_exponent(e)
     return FpNumber(sign, q, e, p)
 
 
@@ -172,7 +169,6 @@ def fp_mul(
         if q == 1 << p:
             q = 1 << (p - 1)
             e += 1
-    _check_exponent(e)
     return FpNumber(a.sign * b.sign, q, e, p)
 
 

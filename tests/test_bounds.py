@@ -47,7 +47,6 @@ class TestBoundSet:
             return
         b = bound_set(p, n)
         assert b.simple <= b.psi <= b.gamma
-        assert b.refined_unit == b.u / (1 + b.u)
 
     def test_unit_roundoff(self):
         assert unit_roundoff(24) == Fraction(1, 1 << 24)
@@ -75,6 +74,13 @@ class TestNMax:
         assert (n * n + (1 << p)) ** 3 <= 1 << (3 * p + 1)
         m = n + 1
         assert (m * m + (1 << p)) ** 3 > 1 << (3 * p + 1)
+
+    def test_closed_form_meets_predicate_for_every_p(self):
+        # The closed form isqrt(floor(cbrt(2**(3p+1))) - 2**p) must be the
+        # largest n meeting the integer predicate at every precision.
+        for p in range(5, 301):
+            n, bound = n_max(p), 1 << (3 * p + 1)
+            assert (n * n + (1 << p)) ** 3 <= bound < ((n + 1) ** 2 + (1 << p)) ** 3, p
 
 
 class TestPropertyChecks:

@@ -159,6 +159,14 @@ class TestSpotCommand:
         row = json.loads(text)["rows"][0]
         assert row["error"]["decimal"] == "4.328"
 
+    def test_digits_past_int_str_limit(self, default_int_digit_limit):
+        argv = ["spot", "--p", "24", "--x", "8473808/2^23", "--n", "6", "--digits", "5000"]
+        code, text = run(argv)
+        assert code == 0
+        decimal = text.splitlines()[1].split()[1]
+        assert decimal.startswith("4.328005618") and len(decimal) == 2 + 5000
+        assert sys.get_int_max_str_digits() == 4300
+
     def test_mode_flag(self):
         even = run(["spot", "--p", "8", "--x", "136/2^7", "--n", "3", "--format", "json"])
         away = run(
@@ -498,6 +506,49 @@ class TestSearchValidation:
         assert "single n" in captured.err
         assert not ck.exists()
 
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "list", "not-json", "directory", "missing-directory", "no-best-num",
+            "next-k-below", "next-k-above", "best-k-string", "negative-violations",
+            "best-num-not-decimal", "zero-best-den",
+        ],
+    )
+    def test_bad_checkpoint_exits_2(self, case, tmp_path, capsys):
+        ck = tmp_path / "scan.json"
+        state = {
+            "schema_version": 1, "p": 8, "n": 3, "mode": "even", "k_start": 0,
+            "k_stop": 128, "next_k": 64, "best_num": "1", "best_den": "5",
+            "best_k": 3, "violations": 0,
+        }
+        edits = {
+            "no-best-num": {"best_num": None},
+            "next-k-below": {"next_k": -5},
+            "next-k-above": {"next_k": 200},
+            "best-k-string": {"best_k": "3"},
+            "negative-violations": {"violations": -1},
+            "best-num-not-decimal": {"best_num": "1e5"},
+            "zero-best-den": {"best_den": "0"},
+        }
+        if case == "list":
+            ck.write_text("[]\n")
+        elif case == "not-json":
+            ck.write_text("{\n")
+        elif case == "directory":
+            ck.mkdir()
+        elif case == "missing-directory":
+            ck = tmp_path / "absent" / "scan.json"
+        else:
+            state.update(edits[case])
+            ck.write_text(json.dumps({k: v for k, v in state.items() if v is not None}))
+        argv = ["search", "--p", "8", "--n", "3", "--jobs", "1", "--checkpoint", str(ck)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert str(ck) in captured.err
+
     def test_big_render_restores_digit_limit(self, default_int_digit_limit):
         code, text = run(
             ["search", "--p", "24", "--n", "600", "--around", "16000000",
@@ -507,3 +558,23 @@ class TestSearchValidation:
         numerator = json.loads(text)["rows"][0]["max_error"]["fraction"].split("/")[0]
         assert len(numerator) > 4300
         assert sys.get_int_max_str_digits() == 4300
+
+
+def _readme_examples() -> dict[str, tuple[str, str]]:
+    """Subcommand -> (command line, expected stdout) of each ``$ ulplab``
+    block in the README."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    examples = {}
+    for block in readme.split("```text\n")[1:]:
+        body = block.split("```")[0]
+        first, _, output = body.partition("\n")
+        if first.startswith("$ ulplab "):
+            command = first[len("$ ulplab "):]
+            examples[command.split()[0]] = (command, output)
+    return examples
+
+
+@pytest.mark.parametrize("subcommand", ["search", "spot", "bounds", "adversary"])
+def test_readme_example_output(subcommand):
+    command, output = _readme_examples()[subcommand]
+    assert run(command.split()) == (0, output)

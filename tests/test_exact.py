@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -92,6 +93,12 @@ class TestToDecimal:
         x = FpNumber(1, 8429278, 0, 24)
         err = relative_error(naive_power(x, 10), x.to_fraction() ** 10)
         assert to_decimal(err.value, 9).startswith("7.05960314")
+
+    def test_renders_past_int_str_limit(self, default_int_digit_limit):
+        # Both parts may be longer than Python's default 4300-digit limit.
+        assert to_decimal(Fraction(1, 3), 5000) == "0." + "3" * 5000
+        assert to_decimal(Fraction(10**5000), 1) == "1" + "0" * 5000 + ".0"
+        assert sys.get_int_max_str_digits() == 4300
 
     def test_digits_must_be_positive(self):
         with pytest.raises(ValueError):
