@@ -87,12 +87,12 @@ def _fp_repr(x: FpNumber) -> str:
     sign = "-" if x.sign < 0 else ""
     shift = x.precision - 1 - x.exponent
     if shift <= 0:
-        return f"{sign}{x.significand << -shift}"
-    return f"{sign}{x.significand}/2^{shift}"
+        return sign + _int_str(x.significand << -shift)
+    return f"{sign}{_int_str(x.significand)}/2^{shift}"
 
 
-def _int_str(v: int) -> str:
-    """str() for exact numerators that can exceed the int-to-str digit guard."""
+def _int_str(v: int | Fraction) -> str:
+    """str() for exact numbers that can exceed the int-to-str digit guard."""
     with unlimited_int_digits():
         return str(v)
 
@@ -271,7 +271,7 @@ _FIELD_VALUE_COLUMNS = (("field", itemgetter(0)), ("value", itemgetter(1)))
 def _cmd_adversary(args: argparse.Namespace) -> tuple[int, str]:
     seq = build_sequence(args.p, args.n)
     report = verify_sequence(seq)
-    factors = [str(f.to_fraction()) for f in seq.factors]
+    factors = [_int_str(f.to_fraction()) for f in seq.factors]
     err = _error_obj(seq.achieved_error, args.digits)
     gap = _error_obj(report.gap, args.digits)
     obj = {
@@ -395,36 +395,43 @@ def _cmd_regress(args: argparse.Namespace) -> tuple[int, str]:
     return (1 if failures else 0), "\n".join(lines) + "\n"
 
 
-def _add_common(sub: argparse.ArgumentParser, *, mode: bool = True) -> None:
-    if mode:
-        sub.add_argument(
-            "--mode",
-            choices=[m.value for m in RoundingMode],
-            default=RoundingMode.TIES_EVEN.value,
-            help="tie-breaking rule (default: even)",
-        )
-    sub.add_argument(
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        """Usage errors leave ``run`` as a CliError, like every other bad input."""
+        raise CliError(message)
+
+
+def _build_parser() -> _Parser:
+    mode = argparse.ArgumentParser(add_help=False)
+    mode.add_argument(
+        "--mode",
+        choices=[m.value for m in RoundingMode],
+        default=RoundingMode.TIES_EVEN.value,
+        help="tie-breaking rule (default: even)",
+    )
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument(
         "--format",
         choices=["table", "csv", "json"],
         default="table",
         help="output format (default: table)",
     )
-    sub.add_argument(
+    out.add_argument(
         "--digits",
         type=int,
         default=9,
         help="fractional digits in decimal renderings (truncated, default: 9)",
     )
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ulplab",
         description="measure and bound the rounding error of iterated products",
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    s = subs.add_parser("search", help="exhaustive worst-case scan over [1, 2)")
+    s = subs.add_parser(
+        "search", parents=[mode, out], help="exhaustive worst-case scan over [1, 2)"
+    )
+    s.set_defaults(handler=_cmd_search)
     s.add_argument("--p", type=int, required=True, help="precision in bits")
     s.add_argument("--n", required=True, help="power count N or range A..B")
     s.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
@@ -441,57 +448,55 @@ def _build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_CHUNK_SIZE,
         help="candidates per work unit and checkpoint interval",
     )
-    _add_common(s)
 
-    s = subs.add_parser("spot", help="exact error of one input")
+    s = subs.add_parser("spot", parents=[mode, out], help="exact error of one input")
+    s.set_defaults(handler=_cmd_spot)
     s.add_argument("--p", type=int, required=True)
     s.add_argument("--x", required=True, help="value as INT, A/B, or A/2^K")
     s.add_argument("--n", required=True, help="power count N or range A..B")
-    _add_common(s)
 
-    s = subs.add_parser("bounds", help="classical error bounds, in ulps")
+    s = subs.add_parser("bounds", parents=[out], help="classical error bounds, in ulps")
+    s.set_defaults(handler=_cmd_bounds)
     s.add_argument("--p", type=int, required=True)
     s.add_argument("--n", required=True, help="count N or range A..B")
-    _add_common(s, mode=False)
 
-    s = subs.add_parser("adversary", help="build a near-worst-case factor list")
+    s = subs.add_parser(
+        "adversary", parents=[out], help="build a near-worst-case factor list"
+    )
+    s.set_defaults(handler=_cmd_adversary)
     s.add_argument("--p", type=int, required=True)
     s.add_argument("--n", type=int, required=True)
-    _add_common(s, mode=False)
 
-    s = subs.add_parser("verify", help="run the exact property check suites")
+    s = subs.add_parser(
+        "verify", parents=[out], help="run the exact property check suites"
+    )
+    s.set_defaults(handler=_cmd_verify)
     s.add_argument("--p", type=int, help="also build+check sequences at this p")
     s.add_argument("--n", default="10", help="sequence lengths, N or A..B")
-    _add_common(s, mode=False)
 
     s = subs.add_parser("regress", help="rerun golden scenarios and diff bytes")
+    s.set_defaults(handler=_cmd_regress)
     s.add_argument("--golden-dir", default="goldens")
     s.add_argument("--update", action="store_true", help="rewrite golden files")
     return parser
 
 
-_HANDLERS = {
-    "search": _cmd_search,
-    "spot": _cmd_spot,
-    "bounds": _cmd_bounds,
-    "adversary": _cmd_adversary,
-    "verify": _cmd_verify,
-    "regress": _cmd_regress,
-}
+# Built once per process: parse_args keeps no state between calls.
+_PARSER = _build_parser()
 
 
 def run(argv: list[str]) -> tuple[int, str]:
     """Parse argv and execute; returns (exit_status, stdout_text).
 
-    Raises CliError for usage problems so callers can decide how loud to be;
-    ``main`` turns that into an exit status of 2.  This is the one place
-    where a ValueError or OSError (bad p, n, x or checkpoint) becomes a CliError.
+    Raises CliError for every bad input, usage errors included, so callers
+    can decide how loud to be; ``main`` prints one ``error:`` line, exit 2.
+    This is the one place where a ValueError or OSError becomes a CliError.
     """
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if getattr(args, "digits", 9) < 1:
         raise CliError("--digits must be >= 1")
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except (ValueError, OSError) as exc:
         raise CliError(str(exc)) from None
 

@@ -72,7 +72,6 @@ import json
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -89,6 +88,8 @@ PRECISION_GUARD = 26
 
 DEFAULT_CHUNK_SIZE = 1 << 20
 CHECKPOINT_SCHEMA_VERSION = 1
+# A scan's merged state in ``_merge``'s tuple order, and its checkpoint keys.
+_STATE_KEYS = ("best_num", "best_den", "best_k", "violations")
 
 
 @dataclass(frozen=True)
@@ -404,12 +405,7 @@ def exhaustive_max_error(
     if checkpoint:
         saved = _load_checkpoint(checkpoint, expect)
         if saved:
-            state = (
-                saved["best_num"],
-                saved["best_den"],
-                saved["best_k"],
-                saved["violations"],
-            )
+            state = tuple(saved[key] for key in _STATE_KEYS)
             next_k = saved["next_k"]
 
     chunks = [
@@ -417,28 +413,29 @@ def exhaustive_max_error(
         for lo in range(next_k, k_stop, chunk_size)
     ]
 
-    pooled = jobs > 1 and len(chunks) > 1
-    with ProcessPoolExecutor(max_workers=jobs) if pooled else nullcontext() as pool:
-        parts = (pool.map if pooled else map)(_scan_chunk, chunks)
+    # Never more workers than chunks: the pool forks all of them at once.
+    workers = min(jobs, len(chunks))
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    try:
+        parts = (pool.map if pool else map)(_scan_chunk, chunks)
         for chunk, part in zip(chunks, parts):
             state = _merge(state, part)
             done_upto = chunk[4]
             if checkpoint:
-                num, den, bk, viol = state
                 _write_checkpoint(
                     checkpoint,
                     {
                         "schema_version": CHECKPOINT_SCHEMA_VERSION,
                         **expect,
                         "next_k": done_upto,
-                        "best_num": num,
-                        "best_den": den,
-                        "best_k": bk,
-                        "violations": viol,
+                        **dict(zip(_STATE_KEYS, state)),
                     },
                 )
             if progress:
                 progress(done_upto - k_start, k_stop - k_start)
+    finally:
+        if pool:  # on an error, drop the chunks that have not started
+            pool.shutdown(cancel_futures=True)
 
     num, den, best_k, violations = state
     argmax = FpNumber(1, (1 << (p - 1)) + best_k, 0, p)

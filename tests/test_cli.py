@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,8 @@ from ulplab.cli import (
     main,
     run,
 )
+from ulplab.adversary import build_sequence
+from ulplab.exact import unlimited_int_digits
 from ulplab.softfloat import FpNumber
 
 
@@ -578,3 +581,27 @@ def _readme_examples() -> dict[str, tuple[str, str]]:
 def test_readme_example_output(subcommand):
     command, output = _readme_examples()[subcommand]
     assert run(command.split()) == (0, output)
+
+
+class TestBigPrecisionOutput:
+    # At p = 15000 a significand has about 4516 decimal digits, past the
+    # default int-to-str limit.
+    def test_spot_prints_x(self, default_int_digit_limit):
+        code, text = run(["spot", "--p", "15000", "--x", "3/2", "--n", "2",
+                          "--format", "json"])
+        assert code == 0
+        assert sys.get_int_max_str_digits() == 4300
+        with unlimited_int_digits():
+            assert _parse_x(json.loads(text)["x"], 15000).to_fraction() == Fraction(3, 2)
+
+    def test_adversary_prints_factors(self, default_int_digit_limit):
+        code, text = run(["adversary", "--p", "15000", "--n", "3", "--format", "json"])
+        assert code == 0
+        assert sys.get_int_max_str_digits() == 4300
+        factors = json.loads(text)["factors"]
+        seq = build_sequence(15000, 3)
+        with unlimited_int_digits():
+            assert [Fraction(f) for f in factors] == [
+                f.to_fraction() for f in seq.factors
+            ]
+        assert max(len(f) for f in factors) > 4300

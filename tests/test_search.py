@@ -455,6 +455,102 @@ class TestCheckpointing:
         assert pooled == serial
 
 
+class QueueingPool:
+    """Stands in for ProcessPoolExecutor and runs chunks in-process.  Like the
+    real pool, ``map`` queues every chunk at once and ``shutdown`` runs what
+    is still queued unless ``cancel_futures`` is set."""
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.queue = []
+        self.ran = []
+        POOLS.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.shutdown()
+
+    def map(self, fn, chunks):
+        self.queue = [(fn, c) for c in chunks]
+        return (self._run_next() for _ in chunks)
+
+    def _run_next(self):
+        fn, chunk = self.queue.pop(0)
+        self.ran.append(chunk)
+        return fn(chunk)
+
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        if cancel_futures:
+            self.queue.clear()
+        while self.queue:
+            self._run_next()
+
+
+POOLS: list[QueueingPool] = []
+
+
+class TestPool:
+    @pytest.fixture(autouse=True)
+    def queueing_pool(self, monkeypatch):
+        POOLS.clear()
+        monkeypatch.setattr(search, "ProcessPoolExecutor", QueueingPool)
+
+    class Stop(Exception):
+        pass
+
+    def test_failed_checkpoint_write_cancels_queued_chunks(self, tmp_path, monkeypatch):
+        def fail(path, payload):
+            raise self.Stop()
+
+        monkeypatch.setattr(search, "_write_checkpoint", fail)
+        with pytest.raises(self.Stop):
+            exhaustive_max_error(12, 6, jobs=2, chunk_size=256,
+                                 checkpoint=str(tmp_path / "scan.json"))
+        (pool,) = POOLS
+        assert len(pool.ran) == 1  # of 8 chunks
+
+    def test_failed_progress_callback_cancels_queued_chunks(self):
+        def fail(done, total):
+            if done == 512:
+                raise self.Stop()
+
+        with pytest.raises(self.Stop):
+            exhaustive_max_error(12, 6, jobs=2, chunk_size=256, progress=fail)
+        (pool,) = POOLS
+        assert len(pool.ran) == 2
+
+    @pytest.mark.parametrize("jobs,chunk_size,workers", [
+        (64, 512, 2), (3, 512, 2), (2, 256, 2), (64, 256, 4), (3, 256, 3),
+    ])
+    def test_workers_bounded_by_chunk_count(self, jobs, chunk_size, workers):
+        report = exhaustive_max_error(11, 5, jobs=jobs, chunk_size=chunk_size)
+        (pool,) = POOLS
+        assert pool.max_workers == workers
+        assert len(pool.ran) == 1024 // chunk_size
+        assert report == exhaustive_max_error(11, 5, chunk_size=chunk_size)
+
+    @pytest.mark.parametrize("jobs", [2, 64])
+    def test_one_chunk_starts_no_pool(self, jobs):
+        exhaustive_max_error(11, 5, jobs=jobs, chunk_size=1024)
+        assert POOLS == []
+
+
+def test_real_pool_is_shut_down_after_a_failure():
+    import multiprocessing
+
+    class Stop(Exception):
+        pass
+
+    def fail(done, total):
+        raise Stop()
+
+    with pytest.raises(Stop):
+        exhaustive_max_error(12, 6, jobs=2, chunk_size=256, progress=fail)
+    assert multiprocessing.active_children() == []
+
+
 class TestPrecisionValidation:
     @pytest.mark.parametrize("p", [1, 0, -3, 2.0])
     def test_bad_precision_rejected_before_any_shift(self, p):
