@@ -61,18 +61,21 @@ def _parse_range(text: str) -> range:
 
 
 def _parse_x(text: str, p: int) -> FpNumber:
-    """Parse '8473808/2^23', '4097/4096', or a plain integer, exactly."""
+    """Parse '8473808/2^23', '4097/4096', or a plain integer, exactly.  No
+    digit limit, so every printed x reads back; an argv token is at most
+    128 KiB on Linux, which bounds the parse."""
     num_s, slash, den_s = text.partition("/")
     try:
-        num = int(num_s)
-        if not slash:
-            den = 1
-        elif den_s.startswith("2^"):
-            den = 1 << int(den_s[2:])
-        else:
-            den = int(den_s)
+        with unlimited_int_digits():
+            num = int(num_s)
+            if not slash:
+                den = 1
+            elif den_s.startswith("2^"):
+                den = 1 << int(den_s[2:])
+            else:
+                den = int(den_s)
         value = Fraction(num, den)
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, OverflowError, ZeroDivisionError):
         raise CliError(f"bad value {text!r}; expected INT, A/B, or A/2^K") from None
     x = round_nearest(value, p)
     if x.to_fraction() != value:
@@ -505,7 +508,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         code, text = run(sys.argv[1:] if argv is None else argv)
     except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # A token can carry a newline into the message; keep it one line.
+        print("error: " + str(exc).replace("\n", "\\n"), file=sys.stderr)
         return 2
     sys.stdout.write(text)
     return code

@@ -67,11 +67,11 @@ class unlimited_int_digits:
     """Lift Python's int<->str digit limit inside a ``with`` block, then
     restore it.
 
-    Exact error numerators run to tens of thousands of digits; reports and
-    checkpoints must print and parse them whatever the process-wide limit
-    is, without changing that limit for the rest of the process.  A class
-    rather than a generator: it wraps every rendered numerator, and this
-    form costs a third as much per use.
+    Exact error numerators run to tens of thousands of digits; reports must
+    print them, and the command line parse them back, whatever the
+    process-wide limit is, without changing that limit for the rest of the
+    process.  A class rather than a generator: it wraps every rendered
+    numerator, and this form costs a third as much per use.
     """
 
     __slots__ = ("_old",)

@@ -77,7 +77,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .algorithms import naive_power
-from .exact import ErrorInUlps, relative_error, unlimited_int_digits
+from .exact import ErrorInUlps, relative_error
 from .softfloat import FpNumber, RoundingMode, _check_precision
 
 __all__ = ["SearchReport", "exhaustive_max_error", "spot_error"]
@@ -87,9 +87,7 @@ __all__ = ["SearchReport", "exhaustive_max_error", "spot_error"]
 PRECISION_GUARD = 26
 
 DEFAULT_CHUNK_SIZE = 1 << 20
-CHECKPOINT_SCHEMA_VERSION = 1
-# A scan's merged state in ``_merge``'s tuple order, and its checkpoint keys.
-_STATE_KEYS = ("best_num", "best_den", "best_k", "violations")
+CHECKPOINT_SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -285,14 +283,6 @@ def _merge(
 
 
 def _write_checkpoint(path: str, payload: dict) -> None:
-    # best_num/best_den are stored as decimal strings; they can exceed the
-    # int-to-str digit limit.
-    with unlimited_int_digits():
-        payload = {
-            **payload,
-            "best_num": str(payload["best_num"]),
-            "best_den": str(payload["best_den"]),
-        }
     # A unique temp file in the same directory, synced before the rename,
     # so a crash leaves either the old checkpoint or the new one.
     fd, tmp = tempfile.mkstemp(
@@ -310,10 +300,11 @@ def _write_checkpoint(path: str, payload: dict) -> None:
         raise
 
 
-def _load_checkpoint(path: str, expect: dict) -> dict | None:
-    """The saved state of this scan, or None for a new file.  Anything but a
-    resumable schema-1 state of this scan is refused, naming the file, and
-    so is a new file in a missing directory, before any scanning."""
+def _load_checkpoint(path: str, expect: dict) -> tuple[int, int, int] | None:
+    """(next_k, best_k, violations) saved for this scan, or None for a new
+    file.  Anything but a state the writer could have left after a chunk of
+    this scan is refused, naming the file, and so is a new file in a missing
+    directory, before any scanning."""
     if not os.path.exists(path):
         if not os.path.isdir(os.path.dirname(path) or "."):
             raise ValueError(f"checkpoint {path}: no such directory")
@@ -332,26 +323,19 @@ def _load_checkpoint(path: str, expect: dict) -> dict | None:
                 f"checkpoint {path} was written for {key}={data.get(key)!r}, "
                 f"this scan has {key}={want!r}"
             )
-    k_start, k_stop = expect["k_start"], expect["k_stop"]
-    limits = {
-        "next_k": (k_start, k_stop),
-        "best_k": (k_start, k_stop - 1),
-        "violations": (0, k_stop - k_start),
-    }
-    for key, (lo, hi) in limits.items():
+
+    def integer(key: str, lo: int, hi: int) -> int:
         v = data.get(key)
         if type(v) is not int or not lo <= v <= hi:
             msg = f"{key}={v!r} is not an integer in [{lo}, {hi}]"
             raise ValueError(f"checkpoint {path}: {msg}")
-    for key in ("best_num", "best_den"):
-        v = data.get(key)
-        if not (isinstance(v, str) and v.isascii() and v.isdigit()):
-            raise ValueError(f"checkpoint {path}: {key} is not a decimal string")
-        with unlimited_int_digits():
-            data[key] = int(v)
-    if data["best_den"] == 0:
-        raise ValueError(f"checkpoint {path}: best_den is 0")
-    return data
+        return v
+
+    # next_k first: the other two bounds are computed from it.
+    k_start = expect["k_start"]
+    next_k = integer("next_k", k_start + 1, expect["k_stop"])
+    best_k = integer("best_k", k_start, next_k - 1)
+    return next_k, best_k, integer("violations", 0, next_k - k_start)
 
 
 def exhaustive_max_error(
@@ -402,11 +386,13 @@ def exhaustive_max_error(
     }
     state = (-1, 1, -1, 0)
     next_k = k_start
-    if checkpoint:
-        saved = _load_checkpoint(checkpoint, expect)
-        if saved:
-            state = tuple(saved[key] for key in _STATE_KEYS)
-            next_k = saved["next_k"]
+    saved = _load_checkpoint(checkpoint, expect) if checkpoint else None
+    if saved:
+        # The best error is a function of best_k alone: score that one input
+        # again, with the kernel and formula that scored it in the first place.
+        next_k, best_k, violations = saved
+        num, den, _, _ = _scan_chunk((p, n, ties_away, best_k, best_k + 1))
+        state = num, den, best_k, violations
 
     chunks = [
         (p, n, ties_away, lo, min(lo + chunk_size, k_stop))
@@ -428,7 +414,8 @@ def exhaustive_max_error(
                         "schema_version": CHECKPOINT_SCHEMA_VERSION,
                         **expect,
                         "next_k": done_upto,
-                        **dict(zip(_STATE_KEYS, state)),
+                        "best_k": state[2],
+                        "violations": state[3],
                     },
                 )
             if progress:

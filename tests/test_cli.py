@@ -41,6 +41,8 @@ class TestHelpers:
             _parse_x("7/3", 24)  # not a binary float
         with pytest.raises(CliError):
             _parse_x("abc", 24)
+        with pytest.raises(CliError):
+            _parse_x("1/2^" + "9" * 20, 24)  # a shift too large to take
 
     def test_fp_repr(self):
         x = _parse_x("8473808/2^23", 24)
@@ -465,6 +467,21 @@ class TestErrorBoundary:
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv,err",
+        [
+            (["spot", "--p", "24", "--x", "7\n/3", "--n", "2"],
+             "error: 7\\n/3 is not exactly representable at precision 24\n"),
+            (["bounds", "--p", "24", "--n", "3", "a\nb"],
+             "error: unrecognized arguments: a\\nb\n"),
+        ],
+    )
+    def test_newline_in_argument_stays_on_one_line(self, argv, err, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == err
+
 
 class TestSearchValidation:
     @pytest.mark.parametrize(
@@ -512,26 +529,28 @@ class TestSearchValidation:
     @pytest.mark.parametrize(
         "case",
         [
-            "list", "not-json", "directory", "missing-directory", "no-best-num",
-            "next-k-below", "next-k-above", "best-k-string", "negative-violations",
-            "best-num-not-decimal", "zero-best-den",
+            "list", "not-json", "directory", "missing-directory", "schema-1",
+            "next-k-below", "next-k-above", "next-k-at-start", "next-k-string",
+            "best-k-string", "best-k-not-yet-scanned", "negative-violations",
+            "violations-above-scanned",
         ],
     )
     def test_bad_checkpoint_exits_2(self, case, tmp_path, capsys):
         ck = tmp_path / "scan.json"
         state = {
-            "schema_version": 1, "p": 8, "n": 3, "mode": "even", "k_start": 0,
-            "k_stop": 128, "next_k": 64, "best_num": "1", "best_den": "5",
-            "best_k": 3, "violations": 0,
+            "schema_version": 2, "p": 8, "n": 3, "mode": "even", "k_start": 0,
+            "k_stop": 128, "next_k": 64, "best_k": 3, "violations": 0,
         }
         edits = {
-            "no-best-num": {"best_num": None},
+            "schema-1": {"schema_version": 1, "best_num": "1000", "best_den": "1"},
             "next-k-below": {"next_k": -5},
             "next-k-above": {"next_k": 200},
+            "next-k-at-start": {"next_k": 0},  # written only after a chunk
+            "next-k-string": {"next_k": "64"},
             "best-k-string": {"best_k": "3"},
+            "best-k-not-yet-scanned": {"best_k": 64},
             "negative-violations": {"violations": -1},
-            "best-num-not-decimal": {"best_num": "1e5"},
-            "zero-best-den": {"best_den": "0"},
+            "violations-above-scanned": {"violations": 65},
         }
         if case == "list":
             ck.write_text("[]\n")
@@ -543,7 +562,7 @@ class TestSearchValidation:
             ck = tmp_path / "absent" / "scan.json"
         else:
             state.update(edits[case])
-            ck.write_text(json.dumps({k: v for k, v in state.items() if v is not None}))
+            ck.write_text(json.dumps(state))
         argv = ["search", "--p", "8", "--n", "3", "--jobs", "1", "--checkpoint", str(ck)]
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -593,6 +612,14 @@ class TestBigPrecisionOutput:
         assert sys.get_int_max_str_digits() == 4300
         with unlimited_int_digits():
             assert _parse_x(json.loads(text)["x"], 15000).to_fraction() == Fraction(3, 2)
+
+    def test_spot_reads_back_its_own_x(self, default_int_digit_limit):
+        first = run(["spot", "--p", "15000", "--x", "3/2", "--n", "2", "--format", "json"])
+        x = json.loads(first[1])["x"]
+        assert len(x) > 4300
+        again = run(["spot", "--p", "15000", "--x", x, "--n", "2", "--format", "json"])
+        assert again == first
+        assert sys.get_int_max_str_digits() == 4300
 
     def test_adversary_prints_factors(self, default_int_digit_limit):
         code, text = run(["adversary", "--p", "15000", "--n", "3", "--format", "json"])

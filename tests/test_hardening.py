@@ -55,7 +55,10 @@ OPTIONS = {
     },
     "spot": {
         "--p": PRECISION,
-        "--x": (["1", "3/2", "8473808/2^23", "1/2^3", "-3", "0", "7/3"], ["1/0", "2^3", "x", ""]),
+        "--x": (
+            ["1", "3/2", "8473808/2^23", "1/2^3", "-3", "0", "7/3"],
+            ["1/0", "2^3", "x", "", "7\n/3", "1/2^" + "9" * 20],
+        ),
         "--n": COUNT,
         **MODE,
         **OUTPUT,
@@ -70,7 +73,7 @@ OPTIONS = {
     "regress": {"--golden-dir": ([GOLDENS, f"{TMP}/goldens", TMP], [])},
 }
 REQUIRED = {"--p", "--n", "--x"}
-JUNK = ["--bogus", "", "xml", "1..", "--p", "-", "7"]
+JUNK = ["--bogus", "", "xml", "1..", "--p", "-", "7", "a\nb"]
 
 
 @st.composite
@@ -156,7 +159,7 @@ def test_killed_scan_resumes_to_the_same_bytes(jobs, tmp_path):
     state = json.loads(ck.read_text())
     assert state["next_k"] > state["k_start"] == 0
     # A temp file as a write cut short by the kill would leave it.
-    (tmp_path / "scan.json.k1ll3d").write_text('{"schema_version": 1, "p"')
+    (tmp_path / "scan.json.k1ll3d").write_text('{"schema_version": 2, "p"')
     resumed = subprocess.run(command, env=env, capture_output=True, text=True)
     assert (resumed.returncode, resumed.stdout) == want
     assert resumed.stderr == ""

@@ -1,4 +1,6 @@
 import json
+import os
+import tempfile
 from fractions import Fraction
 
 import pytest
@@ -343,7 +345,7 @@ class TestCheckpointing:
         with pytest.raises(Stop):
             exhaustive_max_error(p, n, chunk_size=chunk, checkpoint=ck, progress=bail_after_two)
         state = json.loads(open(ck).read())
-        assert state["schema_version"] == 1
+        assert state["schema_version"] == 2
         assert state["next_k"] == 2 * chunk
         resumed = exhaustive_max_error(p, n, chunk_size=chunk, checkpoint=ck)
         clean = exhaustive_max_error(p, n, chunk_size=chunk)
@@ -381,12 +383,27 @@ class TestCheckpointing:
         with pytest.raises(Stop):
             exhaustive_max_error(24, 600, k_start=lo, k_stop=hi, chunk_size=16,
                                  checkpoint=ck, progress=bail)
-        assert len(json.loads(open(ck).read())["best_num"]) > 4300
+        assert os.path.getsize(ck) < 300
         resumed = run(argv + ["--checkpoint", ck])
         finished = run(argv + ["--checkpoint", ck])
         clean = run(argv)
         assert clean[0] == 0
         assert resumed == finished == clean
+        numerator = json.loads(clean[1])["rows"][0]["max_error"]["fraction"].split("/")[0]
+        assert len(numerator) > 4300
+
+    def test_forged_checkpoint_reports_the_error_at_argmax(self, tmp_path):
+        # A well-formed state that names a best_k which is not the binade's
+        # worst case: the report's error is still the one attained there
+        # (0.3966 ulps at 131/2^7), not a stored figure.
+        ck = tmp_path / "scan.json"
+        ck.write_text(json.dumps({
+            "schema_version": 2, "p": 8, "n": 3, "mode": "even", "k_start": 0,
+            "k_stop": 128, "next_k": 128, "best_k": 3, "violations": 0,
+        }))
+        report = exhaustive_max_error(8, 3, checkpoint=str(ck))
+        assert report.argmax_x.to_fraction() == Fraction(131, 128)
+        assert report.max_error == spot_error(report.argmax_x, 3)
 
     def test_existing_tmp_directory_does_not_block_writes(self, tmp_path):
         ck = tmp_path / "scan.json"
@@ -453,6 +470,43 @@ class TestCheckpointing:
         serial, pooled = record(1), record(2)
         assert len(serial[1]) == 6  # 512 candidates in chunks of 100
         assert pooled == serial
+
+
+CHECKPOINT_KEYS = {"schema_version", "p", "n", "mode", "k_start", "k_stop",
+                   "next_k", "best_k", "violations"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.integers(3, 12),
+    n=st.sampled_from([1, 2, 3, 5, 8, 40, 100]),
+    mode=st.sampled_from([EVEN, AWAY]),  # EVEN at n >= 2 runs the binary64 kernel
+    data=st.data(),
+)
+def test_resume_after_any_chunk_equals_a_clean_scan(p, n, mode, data):
+    space = 1 << (p - 1)
+    k_start = data.draw(st.integers(0, space - 1))
+    k_stop = data.draw(st.integers(k_start + 1, space))
+    size = k_stop - k_start
+    chunk = data.draw(st.integers(max(1, size // 16), size))
+    stop_after = data.draw(st.integers(1, -(-size // chunk)))
+
+    class Stop(Exception):
+        pass
+
+    def bail(done, total):
+        if done >= min(stop_after * chunk, size):
+            raise Stop()
+
+    window = dict(k_start=k_start, k_stop=k_stop, chunk_size=chunk)
+    with tempfile.TemporaryDirectory() as tmp:
+        ck = os.path.join(tmp, "scan.json")
+        with pytest.raises(Stop):
+            exhaustive_max_error(p, n, mode, checkpoint=ck, progress=bail, **window)
+        with open(ck) as f:
+            assert set(json.load(f)) == CHECKPOINT_KEYS
+        resumed = exhaustive_max_error(p, n, mode, checkpoint=ck, **window)
+    assert resumed == exhaustive_max_error(p, n, mode, **window)
 
 
 class QueueingPool:
