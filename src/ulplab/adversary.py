@@ -27,12 +27,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algorithms import DOWN, ProductTrace, iterated_product, step_directions
+from .algorithms import DOWN, iterated_product, step_directions
 from .exact import ErrorInUlps, relative_error
 from .softfloat import FpNumber, RoundingMode, fp_mul, round_nearest
 
 __all__ = [
-    "AdversarySequence",
     "SequenceConstructionError",
     "SequenceReport",
     "build_sequence",
@@ -48,18 +47,6 @@ class SequenceConstructionError(ValueError):
     def __init__(self, step: int, message: str) -> None:
         super().__init__(f"step {step}: {message}")
         self.step = step
-
-
-@dataclass(frozen=True)
-class AdversarySequence:
-    p: int
-    n: int
-    factors: tuple[FpNumber, ...]
-    trace: ProductTrace
-    achieved_error: ErrorInUlps  # exact error of trace.final, in ulps
-
-    def exact_product(self) -> Fraction:
-        return _exact_product(self.factors)
 
 
 @dataclass(frozen=True)
@@ -98,7 +85,7 @@ def _grid_factor(k: int, p: int) -> FpNumber:
     return f
 
 
-def build_sequence(p: int, n: int) -> AdversarySequence:
+def build_sequence(p: int, n: int) -> tuple[FpNumber, ...]:
     """Build n factors whose ties-to-even product loses almost n-1 ulps.
 
     Factors are emitted in the order they must be multiplied; the choice
@@ -115,7 +102,6 @@ def build_sequence(p: int, n: int) -> AdversarySequence:
     seed = _grid_factor(seed_k, p)
     cur = fp_mul(seed, seed, mode)
     factors = [seed, seed]
-    partials = [seed, cur]
     for i in range(2, n):
         if cur.exponent != 0:
             raise SequenceConstructionError(
@@ -135,33 +121,29 @@ def build_sequence(p: int, n: int) -> AdversarySequence:
             raise SequenceConstructionError(i, str(exc)) from exc
         factors.append(nxt)
         cur = fp_mul(cur, nxt, mode)
-        partials.append(cur)
-    factors = tuple(factors)
-    trace = ProductTrace(factors, tuple(partials), cur)
-    achieved = relative_error(cur, _exact_product(factors))
-    return AdversarySequence(p, n, factors, trace, achieved)
+    return tuple(factors)
 
 
-def verify_sequence(seq: AdversarySequence) -> SequenceReport:
-    """Re-run the product from scratch and check the claimed behaviour.
+def verify_sequence(factors: tuple[FpNumber, ...]) -> SequenceReport:
+    """Fold the factors from scratch and check the adversary's claim.
 
-    Passing means: the recomputed trace matches, every one of the n-1
-    rounded multiplications rounded downward, and the achieved error is
-    strictly below n-1 ulps.
+    Everything reported is derived here from the factors alone: p is the
+    factors' precision and n their count.  Passing means every one of the
+    n-1 ties-to-even multiplications rounded downward and the exact error
+    of the product is strictly below n-1 ulps.
     """
-    trace = iterated_product(seq.factors, RoundingMode.TIES_EVEN)
-    consistent = trace == seq.trace
+    trace = iterated_product(factors, RoundingMode.TIES_EVEN)
     directions = step_directions(trace)
     all_down = all(d == DOWN for d in directions)
-    achieved = relative_error(trace.final, seq.exact_product())
-    bound = seq.n - 1
+    achieved = relative_error(trace.final, _exact_product(factors))
+    bound = len(factors) - 1
     return SequenceReport(
-        p=seq.p,
-        n=seq.n,
+        p=factors[0].precision,
+        n=len(factors),
         directions=directions,
         all_down=all_down,
         achieved_error=achieved,
         error_bound=bound,
         gap=bound - achieved.value,
-        passed=consistent and all_down and achieved.value < bound,
+        passed=all_down and achieved.value < bound,
     )

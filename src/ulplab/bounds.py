@@ -8,7 +8,7 @@ so no double-precision rounding can leak into a result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
@@ -52,7 +52,6 @@ class CheckReport:
     name: str
     passed: bool
     checked: int
-    details: dict = field(default_factory=dict)
 
 
 def unit_roundoff(p: int) -> Fraction:
@@ -122,28 +121,14 @@ def check_property1() -> CheckReport:
     Verified exactly on a grid of rational u in (0, 1/32]; the k = 4
     counterexample is searched over u = 2**-j, j = 4..60.
     """
-    checked = 0
-    failures = []
-    for k in (1, 2, 3):
-        for u in _property1_grid():
-            checked += 1
-            if not (1 + u / (1 + u)) ** k < 1 + k * u:
-                failures.append((k, u))
-    counterexample = None
-    for j in range(4, 61):
-        u = Fraction(1, 1 << j)
-        if (1 + u / (1 + u)) ** 4 >= 1 + 4 * u:
-            counterexample = u
-            break
-    passed = not failures and counterexample is not None
+    grid = _property1_grid()
+    holds = all((1 + u / (1 + u)) ** k < 1 + k * u for k in (1, 2, 3) for u in grid)
+    k4_fails = any(
+        (1 + u / (1 + u)) ** 4 >= 1 + 4 * u
+        for u in (Fraction(1, 1 << j) for j in range(4, 61))
+    )
     return CheckReport(
-        name="property1",
-        passed=passed,
-        checked=checked,
-        details={
-            "failures": [f"k={k} u={u}" for k, u in failures],
-            "k4_counterexample_u": str(counterexample),
-        },
+        name="property1", passed=holds and k4_fails, checked=3 * len(grid)
     )
 
 
@@ -165,20 +150,12 @@ def check_lemma2() -> CheckReport:
     interval, and the dyadic points 2**-j that fall inside it.  This is a
     regression guard on the inequality, not a proof over the continuum.
     """
-    checked = 0
-    failures = []
-    for n in _LEMMA2_N_GRID:
-        for u in _lemma2_samples(n):
-            checked += 1
-            lhs = (1 + u) ** (n - 2) * (1 + u / (1 + n * n * u))
-            if not lhs <= 1 + (n - 1) * u:
-                failures.append((n, u))
-    return CheckReport(
-        name="lemma2",
-        passed=not failures,
-        checked=checked,
-        details={"failures": [f"n={n} u={u}" for n, u in failures]},
+    cases = [(n, u) for n in _LEMMA2_N_GRID for u in _lemma2_samples(n)]
+    holds = all(
+        (1 + u) ** (n - 2) * (1 + u / (1 + n * n * u)) <= 1 + (n - 1) * u
+        for n, u in cases
     )
+    return CheckReport(name="lemma2", passed=holds, checked=len(cases))
 
 
 def _refined_binary32_holds(n: int, m_pow: int) -> bool:
@@ -193,23 +170,13 @@ def check_refined_binary32_bound() -> CheckReport:
     """The single-precision refinement (n - 2.8104)u holds for 10 <= n <= 2088.
 
     The constants 7.06 and 2.8104 enter as the exact rationals 706/100 and
-    28104/10000; every comparison is an integer comparison.  Also probes
-    n = 2089 and reports (informationally) whether the bound still holds
-    just past the proved range.
+    28104/10000; every comparison is an integer comparison.
     """
-    checked = 0
-    failures = []
+    ns = range(10, 2089)
+    holds = True
     m_pow = 1
     step = (1 << 24) + 1
-    for n in range(10, 2089):
-        checked += 1
-        if not _refined_binary32_holds(n, m_pow):
-            failures.append(n)
+    for n in ns:
+        holds = _refined_binary32_holds(n, m_pow) and holds
         m_pow *= step
-    boundary_holds = _refined_binary32_holds(2089, m_pow)
-    return CheckReport(
-        name="refined_binary32",
-        passed=not failures,
-        checked=checked,
-        details={"failures": failures, "n2089_holds": boundary_holds},
-    )
+    return CheckReport(name="refined_binary32", passed=holds, checked=len(ns))

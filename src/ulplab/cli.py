@@ -32,7 +32,13 @@ from .bounds import (
 )
 from .exact import ErrorInUlps, to_decimal, unlimited_int_digits
 from .search import DEFAULT_CHUNK_SIZE, PRECISION_GUARD, exhaustive_max_error, spot_error
-from .softfloat import FpNumber, RoundingMode, _check_precision, round_nearest
+from .softfloat import (
+    ExponentRangeError,
+    FpNumber,
+    RoundingMode,
+    _check_precision,
+    round_nearest,
+)
 
 __all__ = ["GOLDEN_SCENARIOS", "main", "run"]
 
@@ -61,26 +67,31 @@ def _parse_range(text: str) -> range:
 
 
 def _parse_x(text: str, p: int) -> FpNumber:
-    """Parse '8473808/2^23', '4097/4096', or a plain integer, exactly.  No
-    digit limit, so every printed x reads back; an argv token is at most
-    128 KiB on Linux, which bounds the parse."""
+    """Parse '8473808/2^23', '4097/4096', or a plain integer, exactly.
+
+    The 2^K of A/2^K goes into the exponent and is never built, so a large
+    K costs nothing; an exponent beyond FpNumber's range is refused."""
     num_s, slash, den_s = text.partition("/")
     try:
-        with unlimited_int_digits():
-            num = int(num_s)
-            if not slash:
-                den = 1
-            elif den_s.startswith("2^"):
-                den = 1 << int(den_s[2:])
-            else:
-                den = int(den_s)
+        num = int(num_s)
+        if den_s.startswith("2^"):
+            den, shift = 1, int(den_s[2:])
+            if shift < 0:
+                raise ValueError
+        else:
+            den, shift = int(den_s) if slash else 1, 0
         value = Fraction(num, den)
-    except (ValueError, OverflowError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError):
         raise CliError(f"bad value {text!r}; expected INT, A/B, or A/2^K") from None
     x = round_nearest(value, p)
     if x.to_fraction() != value:
         raise CliError(f"{text} is not exactly representable at precision {p}")
-    return x
+    if x.is_zero:
+        return x
+    try:
+        return FpNumber(x.sign, x.significand, x.exponent - shift, p)
+    except ExponentRangeError as exc:
+        raise CliError(f"{text}: {exc}") from None
 
 
 def _fp_repr(x: FpNumber) -> str:
@@ -90,20 +101,14 @@ def _fp_repr(x: FpNumber) -> str:
     sign = "-" if x.sign < 0 else ""
     shift = x.precision - 1 - x.exponent
     if shift <= 0:
-        return sign + _int_str(x.significand << -shift)
-    return f"{sign}{_int_str(x.significand)}/2^{shift}"
-
-
-def _int_str(v: int | Fraction) -> str:
-    """str() for exact numbers that can exceed the int-to-str digit guard."""
-    with unlimited_int_digits():
-        return str(v)
+        return sign + str(x.significand << -shift)
+    return f"{sign}{x.significand}/2^{shift}"
 
 
 def _error_obj(err: ErrorInUlps | Fraction, digits: int) -> dict:
     frac = err.value if isinstance(err, ErrorInUlps) else Fraction(err)
     return {
-        "fraction": f"{_int_str(frac.numerator)}/{_int_str(frac.denominator)}",
+        "fraction": f"{frac.numerator}/{frac.denominator}",
         "decimal": to_decimal(frac, digits),
     }
 
@@ -272,15 +277,15 @@ _FIELD_VALUE_COLUMNS = (("field", itemgetter(0)), ("value", itemgetter(1)))
 
 
 def _cmd_adversary(args: argparse.Namespace) -> tuple[int, str]:
-    seq = build_sequence(args.p, args.n)
-    report = verify_sequence(seq)
-    factors = [_int_str(f.to_fraction()) for f in seq.factors]
-    err = _error_obj(seq.achieved_error, args.digits)
+    factors = build_sequence(args.p, args.n)
+    report = verify_sequence(factors)
+    values = [str(f.to_fraction()) for f in factors]
+    err = _error_obj(report.achieved_error, args.digits)
     gap = _error_obj(report.gap, args.digits)
     obj = {
         "p": args.p,
         "n": args.n,
-        "factors": factors,
+        "factors": values,
         "achieved_error": err,
         "error_bound": report.error_bound,
         "gap": gap,
@@ -296,7 +301,7 @@ def _cmd_adversary(args: argparse.Namespace) -> tuple[int, str]:
         ("gap_ulps", gap["decimal"]),
         ("all_down", report.all_down),
         ("passed", report.passed),
-        *((f"a{i}", f) for i, f in enumerate(factors, start=1)),
+        *((f"a{i}", v) for i, v in enumerate(values, start=1)),
     ]
     text = _render(args, obj, _FIELD_VALUE_COLUMNS, rows)
     return (0 if report.passed else 1), text
@@ -412,13 +417,14 @@ def _build_parser() -> _Parser:
         default=RoundingMode.TIES_EVEN.value,
         help="tie-breaking rule (default: even)",
     )
-    out = argparse.ArgumentParser(add_help=False)
-    out.add_argument(
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument(
         "--format",
         choices=["table", "csv", "json"],
         default="table",
         help="output format (default: table)",
     )
+    out = argparse.ArgumentParser(add_help=False, parents=[fmt])
     out.add_argument(
         "--digits",
         type=int,
@@ -471,7 +477,7 @@ def _build_parser() -> _Parser:
     s.add_argument("--n", type=int, required=True)
 
     s = subs.add_parser(
-        "verify", parents=[out], help="run the exact property check suites"
+        "verify", parents=[fmt], help="run the exact property check suites"
     )
     s.set_defaults(handler=_cmd_verify)
     s.add_argument("--p", type=int, help="also build+check sequences at this p")
@@ -494,12 +500,15 @@ def run(argv: list[str]) -> tuple[int, str]:
     Raises CliError for every bad input, usage errors included, so callers
     can decide how loud to be; ``main`` prints one ``error:`` line, exit 2.
     This is the one place where a ValueError or OSError becomes a CliError.
+    The int<->str digit limit is lifted while the command runs: exact
+    numerators are parsed and printed whatever their length.
     """
     args = _PARSER.parse_args(argv)
     if getattr(args, "digits", 9) < 1:
         raise CliError("--digits must be >= 1")
     try:
-        return args.handler(args)
+        with unlimited_int_digits():
+            return args.handler(args)
     except (ValueError, OSError) as exc:
         raise CliError(str(exc)) from None
 

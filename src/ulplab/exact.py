@@ -70,8 +70,8 @@ class unlimited_int_digits:
     Exact error numerators run to tens of thousands of digits; reports must
     print them, and the command line parse them back, whatever the
     process-wide limit is, without changing that limit for the rest of the
-    process.  A class rather than a generator: it wraps every rendered
-    numerator, and this form costs a third as much per use.
+    process.  A class rather than a generator: it wraps every decimal
+    rendering, and this form costs a third as much per use.
     """
 
     __slots__ = ("_old",)

@@ -216,24 +216,20 @@ def _scan_binary64(args: tuple[int, int, bool, int, int]) -> tuple[int, int, int
     half_sig = 1 << (p - 1)
     to_sig = float(half_sig)  # v * to_sig is v's integral significand
     expo_scale = nm1 * (p - 1)
-    best_num, best_den, best_k = -1, 1, -1
-    violations = 0
+    state = (-1, 1, -1, 0)
     lo, hi = 2.0, 0.0
     for rho_hat, k, v, ec in kept:
         if lo <= rho_hat <= hi:
             continue
         x_pow = (half_sig + k) ** n
         err_num = abs((int(v * to_sig) << (ec + expo_scale)) - x_pow) << p
-        if err_num > nm1 * x_pow:
-            violations += 1
-        new, old = err_num * best_den, best_num * x_pow
-        if new > old or (new == old and k < best_k):
-            best_num, best_den, best_k = err_num, x_pow, k
+        state = _merge(state, (err_num, x_pow, k, int(err_num > nm1 * x_pow)))
+        if state[2] == k:
             # Strictly below the exact best, so a candidate inside the band
             # loses to it whatever the order.
             t = err_num / x_pow * 2.0**-p * (1.0 - _NUDGE)
             lo, hi = _band(min(t, t_viol), gamma)
-    return best_num, best_den, best_k, violations
+    return state
 
 
 def _band(t: float, gamma: float) -> tuple[float, float]:
@@ -444,5 +440,10 @@ def spot_error(
     n: int,
     mode: RoundingMode = RoundingMode.TIES_EVEN,
 ) -> ErrorInUlps:
-    """Exact relative error of naive_power(x, n) against the rational x**n."""
+    """Exact relative error of naive_power(x, n) against the rational x**n.
+
+    Measured on x moved into [1, 2) (or (-2, -1]): the error is invariant
+    under binade shifts, and x's own exponent may be too large to raise.
+    """
+    x = FpNumber(x.sign, x.significand, 0, x.precision)
     return relative_error(naive_power(x, n, mode), x.to_fraction() ** n)

@@ -19,7 +19,6 @@ __all__ = [
     "FpNumber",
     "RoundingMode",
     "fp_mul",
-    "normalized_fraction",
     "round_nearest",
 ]
 
@@ -170,14 +169,3 @@ def fp_mul(
             q = 1 << (p - 1)
             e += 1
     return FpNumber(a.sign * b.sign, q, e, p)
-
-
-def normalized_fraction(t: Fraction | int) -> Fraction:
-    """Scale ``t`` by a power of two into 1 <= |result| < 2, exactly."""
-    t = Fraction(t)
-    if t == 0:
-        raise ValueError("zero has no binade")
-    e = _binade(abs(t.numerator), t.denominator)
-    if e >= 0:
-        return Fraction(t.numerator, t.denominator << e)
-    return t * (1 << -e)

@@ -11,7 +11,7 @@ from ulplab import (
     iterated_product,
     verify_sequence,
 )
-from ulplab.adversary import AdversarySequence, SequenceConstructionError
+from ulplab.adversary import SequenceConstructionError, _exact_product
 from ulplab.algorithms import DOWN
 from oracle import oracle_product
 
@@ -29,24 +29,24 @@ P24_PREFIX = [
 
 class TestBuildSequence:
     def test_p24_factor_prefix(self):
-        seq = build_sequence(24, 10)
-        got = [f.to_fraction() for f in seq.factors[:7]]
+        factors = build_sequence(24, 10)
+        got = [f.to_fraction() for f in factors[:7]]
         assert got == P24_PREFIX
 
     def test_seed_factor_formula(self):
         for p in (8, 9, 24, 53, 113):
-            seq = build_sequence(p, 3)
+            factors = build_sequence(p, 3)
             k = math.isqrt(1 << (p - 2))  # floor(2**(p/2 - 1))
             seed = 1 + Fraction(k, 1 << (p - 1))
-            assert seq.factors[0].to_fraction() == seed
-            assert seq.factors[1] == seq.factors[0]
+            assert factors[0].to_fraction() == seed
+            assert factors[1] == factors[0]
 
     def test_n2_single_tie_rounds_down(self):
-        seq = build_sequence(24, 2)
+        report = verify_sequence(build_sequence(24, 2))
         # the seed square is an exact tie; even wins below, so the whole
         # error is one half-step: 1/pi_2 ulps
-        assert seq.achieved_error.value == Fraction(16777216, 16785409)
-        assert seq.achieved_error.value < 1
+        assert report.achieved_error.value == Fraction(16777216, 16785409)
+        assert report.achieved_error.value < 1
 
     def test_guards(self):
         with pytest.raises(ValueError):
@@ -55,33 +55,33 @@ class TestBuildSequence:
             build_sequence(24, 1)
 
     def test_partials_stay_in_unit_binade(self):
-        seq = build_sequence(24, 60)
-        for partial in seq.trace.partials[1:]:
+        trace = iterated_product(build_sequence(24, 60))
+        for partial in trace.partials[1:]:
             assert 1 <= partial.to_fraction() < 2
 
     def test_achieved_error_below_bound_always(self):
         for p, n in [(8, 30), (12, 100), (24, 40), (53, 12)]:
-            seq = build_sequence(p, n)
-            assert seq.achieved_error.value < n - 1
+            report = verify_sequence(build_sequence(p, n))
+            assert report.achieved_error.value < n - 1
 
     def test_achieved_error_increases_with_n(self):
         prev = Fraction(-1)
         for n in range(2, 26):
-            cur = build_sequence(24, n).achieved_error.value
+            cur = verify_sequence(build_sequence(24, n)).achieved_error.value
             assert cur > prev
             prev = cur
 
     def test_trace_matches_independent_oracle(self):
-        seq = build_sequence(16, 12)
-        want = oracle_product([f.to_fraction() for f in seq.factors], 16)
-        assert seq.trace.final.to_fraction() == want
+        factors = build_sequence(16, 12)
+        want = oracle_product([f.to_fraction() for f in factors], 16)
+        assert iterated_product(factors).final.to_fraction() == want
 
     def test_factors_are_exportable_fraction_strings(self):
-        seq = build_sequence(24, 4)
-        strings = [str(f.to_fraction()) for f in seq.factors]
+        factors = build_sequence(24, 4)
+        strings = [str(f.to_fraction()) for f in factors]
         assert strings[0] == "4097/4096"
         rebuilt = [Fraction(s) for s in strings]
-        assert rebuilt == [f.to_fraction() for f in seq.factors]
+        assert rebuilt == [f.to_fraction() for f in factors]
 
 
 class TestLinearity:
@@ -90,19 +90,20 @@ class TestLinearity:
     def test_one_multiplication_per_new_factor(self, p, n_max, monkeypatch):
         import ulplab.adversary as adversary
 
-        calls = []
+        results = []
         real = adversary.fp_mul
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
+        def recording(*args, **kwargs):
+            results.append(real(*args, **kwargs))
+            return results[-1]
 
-        monkeypatch.setattr(adversary, "fp_mul", counting)
+        monkeypatch.setattr(adversary, "fp_mul", recording)
         for n in sorted({2, 3, n_max // 2, n_max}):
-            calls.clear()
-            seq = build_sequence(p, n)
-            assert len(calls) == n - 1
-            assert seq.trace == iterated_product(seq.factors)
+            results.clear()
+            factors = build_sequence(p, n)
+            assert len(factors) == n
+            # the partials it multiplied are those of the fold from scratch
+            assert tuple(results) == iterated_product(factors).partials[1:]
 
 
 class TestVerifySequence:
@@ -114,22 +115,33 @@ class TestVerifySequence:
         assert report.passed
 
     def test_gap_is_bound_minus_achieved(self):
-        seq = build_sequence(24, 10)
-        report = verify_sequence(seq)
+        report = verify_sequence(build_sequence(24, 10))
         assert report.gap == report.error_bound - report.achieved_error.value
         assert 0 < report.gap < Fraction(1, 100)
 
-    def test_tampered_trace_fails(self):
-        seq = build_sequence(24, 6)
-        # swap in a trace computed from different factors
-        other = iterated_product(seq.factors[:-1] + (seq.factors[0],))
-        forged = AdversarySequence(
-            seq.p, seq.n, seq.factors, other, seq.achieved_error
-        )
-        assert not verify_sequence(forged).passed
+    def test_p_and_n_come_from_the_factors(self):
+        factors = build_sequence(24, 10)
+        report = verify_sequence(factors)
+        assert (report.p, report.n, report.error_bound) == (24, 10, 9)
+        assert len(report.directions) == 9
+        short = verify_sequence(factors[:4])
+        assert (short.p, short.n, short.error_bound) == (24, 4, 3)
+
+    def test_tampered_factors_fail(self):
+        factors = build_sequence(24, 6)
+        # the factor order is the construction: moving one factor, or
+        # reversing the list, makes some multiplication round up
+        for forged in (factors[:3] + factors[4:] + (factors[3],), factors[::-1]):
+            report = verify_sequence(forged)
+            assert not report.all_down
+            assert not report.passed
+
+    def test_empty_list_refused(self):
+        with pytest.raises(ValueError):
+            verify_sequence(())
 
     def test_exact_product_matches_fraction_multiply(self):
-        seq = build_sequence(24, 8)
+        factors = build_sequence(24, 8)
         rng = random.Random(8)
 
         def random_factor(p):
@@ -137,25 +149,21 @@ class TestVerifySequence:
             return FpNumber(rng.choice((1, -1)), sig, rng.randint(-300, 300), p)
 
         factor_lists = [
-            seq.factors,
+            factors,
             (),
             (FpNumber(1, 128, 7, 8),),  # shift 0: the integer 128
             (FpNumber(-1, 129, 30, 8), FpNumber(1, 255, 9, 8)),  # positive shift
             (FpNumber(-1, 129, -30, 8), FpNumber(-1, 8388609, 40, 24)),
-            seq.factors + (FpNumber.zero(24),),
+            factors + (FpNumber.zero(24),),
         ] + [
             tuple(random_factor(rng.choice((8, 24, 53))) for _ in range(rng.randint(1, 12)))
             for _ in range(60)
         ]
-        for factors in factor_lists:
-            # forged: the trace and error belong to seq, not to these factors
-            forged = AdversarySequence(
-                seq.p, len(factors), factors, seq.trace, seq.achieved_error
-            )
+        for fs in factor_lists:
             prod = Fraction(1)
-            for f in factors:
+            for f in fs:
                 prod *= f.to_fraction()
-            assert forged.exact_product() == prod
+            assert _exact_product(fs) == prod
 
 
 class TestReferenceErrors:
@@ -172,8 +180,8 @@ class TestReferenceErrors:
         ],
     )
     def test_table_prefixes(self, p, n, prefix):
-        seq = build_sequence(p, n)
-        assert seq.achieved_error.decimal(25).startswith(prefix)
+        report = verify_sequence(build_sequence(p, n))
+        assert report.achieved_error.decimal(25).startswith(prefix)
 
     def test_p24_n100_gap(self):
         report = verify_sequence(build_sequence(24, 100))

@@ -44,6 +44,19 @@ class TestHelpers:
         with pytest.raises(CliError):
             _parse_x("1/2^" + "9" * 20, 24)  # a shift too large to take
 
+    def test_parse_x_reads_exponents_without_shifting(self):
+        # 2**62 is FpNumber's exponent limit; a shift this size is never built
+        x = _parse_x("3/2^4611686018427387903", 24)
+        assert (x.sign, x.significand, x.exponent) == (1, 3 << 22, 1 - 4611686018427387903)
+        x = _parse_x("-12/8", 24)
+        assert (x.sign, x.significand, x.exponent) == (-1, 3 << 22, 0)
+        assert _parse_x("0/2^99999999999999999999", 24).is_zero
+        for text in ["1/2^4611686018427387905", "1/2^-1", "3/2^", "5/2^x"]:
+            with pytest.raises(CliError):
+                _parse_x(text, 24)
+        with pytest.raises(CliError, match="not exactly representable"):
+            _parse_x("16777217/2^100", 24)  # odd part of 25 bits
+
     def test_fp_repr(self):
         x = _parse_x("8473808/2^23", 24)
         assert _fp_repr(x) == "8473808/2^23"
@@ -172,6 +185,25 @@ class TestSpotCommand:
         assert decimal.startswith("4.328005618") and len(decimal) == 2 + 5000
         assert sys.get_int_max_str_digits() == 4300
 
+    def test_extreme_exponents(self, capsys):
+        # x = 2**-(2**62 - 1) has the error of x = 1; one step further out the
+        # exponent leaves FpNumber's range, which is one error line
+        def spot(x):
+            code, text = run(["spot", "--p", "24", "--x", x, "--n", "2..3", "--format", "json"])
+            assert code == 0
+            return json.loads(text)
+
+        far = spot("1/2^4611686018427387903")
+        assert far["rows"] == spot("1")["rows"]
+        assert far["x"] == "8388608/2^4611686018427387926"
+        assert main(["spot", "--p", "24", "--x", "1/2^4611686018427387905", "--n", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: 1/2^4611686018427387905: exponent -4611686018427387905 "
+            "outside +/-4611686018427387904\n"
+        )
+
     def test_mode_flag(self):
         even = run(["spot", "--p", "8", "--x", "136/2^7", "--n", "3", "--format", "json"])
         away = run(
@@ -244,6 +276,28 @@ class TestAdversaryCommand:
         with pytest.raises(CliError):
             run(["adversary", "--p", "4", "--n", "10"])
 
+    @pytest.mark.parametrize(
+        "argv,sequences",
+        [
+            (["adversary", "--p", "24", "--n", "10"], 1),
+            (["verify", "--p", "24", "--n", "10..12"], 3),
+        ],
+    )
+    def test_one_exact_product_and_one_score_per_sequence(self, argv, sequences, monkeypatch):
+        import ulplab.adversary as adversary
+
+        calls = {"_exact_product": 0, "relative_error": 0}
+        for name in calls:
+            real = getattr(adversary, name)
+
+            def counting(*args, _name=name, _real=real):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(adversary, name, counting)
+        assert run(argv)[0] == 0
+        assert calls == {"_exact_product": sequences, "relative_error": sequences}
+
 
 class TestVerifyCommand:
     def test_builtin_checks_pass(self):
@@ -260,6 +314,11 @@ class TestVerifyCommand:
         obj = json.loads(text)
         assert len(obj["checks"]) == 5
         assert all(c["passed"] for c in obj["checks"])
+
+    def test_digits_not_an_option(self):
+        # verify prints no decimals, so it takes no --digits
+        with pytest.raises(CliError, match="unrecognized arguments: --digits 5"):
+            run(["verify", "--digits", "5"])
 
 
 # Table and csv bytes, generated before the report path was shared by all
@@ -629,6 +688,6 @@ class TestBigPrecisionOutput:
         seq = build_sequence(15000, 3)
         with unlimited_int_digits():
             assert [Fraction(f) for f in factors] == [
-                f.to_fraction() for f in seq.factors
+                f.to_fraction() for f in seq
             ]
         assert max(len(f) for f in factors) > 4300

@@ -57,7 +57,7 @@ OPTIONS = {
         "--p": PRECISION,
         "--x": (
             ["1", "3/2", "8473808/2^23", "1/2^3", "-3", "0", "7/3"],
-            ["1/0", "2^3", "x", "", "7\n/3", "1/2^" + "9" * 20],
+            ["1/0", "2^3", "x", "", "7\n/3", "1/2^" + "9" * 20, f"1/2^{2**62 + 1}"],
         ),
         "--n": COUNT,
         **MODE,
@@ -69,7 +69,7 @@ OPTIONS = {
         "--n": (["1", "2", "3", "10", "60"], ["-1", "0", "2..3", "x", ""]),
         **OUTPUT,
     },
-    "verify": {"--p": PRECISION, "--n": COUNT, **OUTPUT},
+    "verify": {"--p": PRECISION, "--n": COUNT, "--format": OUTPUT["--format"]},
     "regress": {"--golden-dir": ([GOLDENS, f"{TMP}/goldens", TMP], [])},
 }
 REQUIRED = {"--p", "--n", "--x"}

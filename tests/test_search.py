@@ -8,7 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ulplab.search as search
-from ulplab import FpNumber, RoundingMode, exhaustive_max_error, spot_error
+from ulplab import (
+    EXPONENT_LIMIT,
+    ExponentRangeError,
+    FpNumber,
+    RoundingMode,
+    exhaustive_max_error,
+    naive_power,
+    relative_error,
+    spot_error,
+)
 from ulplab.cli import run
 from ulplab.search import _merge, _scan_binary64, _scan_chunk, _scan_exact
 from oracle import oracle_error_ulps, oracle_max_power_error, oracle_power, oracle_round
@@ -636,3 +645,24 @@ class TestSpotError:
         assert even != away
         assert even.value == Fraction(4352, 4913)
         assert away.value == Fraction(3840, 4913)
+
+    @given(
+        p=st.sampled_from([2, 3, 8, 24, 53, 113]),
+        data=st.data(),
+        exponent=st.integers(min_value=-200, max_value=200),
+        sign=st.sampled_from([1, -1]),
+        n=st.integers(min_value=1, max_value=40),
+        mode=st.sampled_from([EVEN, AWAY]),
+    )
+    def test_invariant_under_binade_shifts(self, p, data, exponent, sign, n, mode):
+        sig = data.draw(st.integers(min_value=1 << (p - 1), max_value=(1 << p) - 1))
+        x = FpNumber(sign, sig, exponent, p)
+        want = relative_error(naive_power(x, n, mode), x.to_fraction() ** n)
+        assert spot_error(x, n, mode) == want
+
+    def test_exponent_too_large_to_raise(self):
+        # x**3 would need an exponent past the limit; x's error is that of x / 2**e
+        x = FpNumber(1, 8473808, EXPONENT_LIMIT, 24)
+        assert spot_error(x, 3) == spot_error(FpNumber(1, 8473808, 0, 24), 3)
+        with pytest.raises(ExponentRangeError):
+            naive_power(x, 3)

@@ -10,9 +10,9 @@ from ulplab import (
     FpNumber,
     RoundingMode,
     fp_mul,
-    normalized_fraction,
     round_nearest,
 )
+from ulplab.softfloat import _binade
 from oracle import oracle_round
 
 EVEN = RoundingMode.TIES_EVEN
@@ -27,6 +27,11 @@ def rationals(max_num=10**6, max_exp=40):
         st.integers(min_value=1, max_value=max_num),
         st.integers(min_value=-max_exp, max_value=max_exp),
     )
+
+
+def binade_scale(t: Fraction) -> Fraction:
+    """2**e with 2**e <= |t| < 2**(e+1)."""
+    return Fraction(2) ** _binade(abs(t.numerator), t.denominator)
 
 
 def fp_numbers(p, max_exp=30):
@@ -108,7 +113,7 @@ class TestRoundNearest:
     def test_absolute_error_at_most_half_grid(self, t, p):
         # |RN(t) - t| <= 2**(e-p) with 2**e <= |t| < 2**(e+1)
         r = round_nearest(t, p).to_fraction()
-        scale = abs(t) / normalized_fraction(abs(t))  # exactly 2**e
+        scale = binade_scale(t)
         assert abs(r - t) <= scale / (1 << p)
 
     @given(t=rationals(), p=st.integers(min_value=2, max_value=40))
@@ -162,35 +167,26 @@ class TestRoundNearest:
 
     @given(t=rationals(), p=st.integers(min_value=2, max_value=30), w_num=st.integers(min_value=0, max_value=63))
     def test_sharper_bound_above_w(self, t, p, w_num):
-        # with tbar = normalized_fraction(|t|) >= w: |RN(t)-t|/|t| <= u/w
+        # with tbar = |t| scaled into [1, 2) and tbar >= w: |RN(t)-t|/|t| <= u/w
         w = 1 + Fraction(w_num, 64)
-        tbar = normalized_fraction(abs(t))
+        tbar = abs(t) / binade_scale(t)
         if tbar >= w:
             r = round_nearest(t, p).to_fraction()
             assert abs(r - t) / abs(t) <= Fraction(1, 1 << p) / w
 
 
-class TestNormalizedFraction:
+class TestBinade:
     @pytest.mark.parametrize(
-        "t,expected",
-        [(1, 1), (3, Fraction(3, 2)), (Fraction(3, 4), Fraction(3, 2))],
+        "num,den,e",
+        [(1, 1, 0), (3, 1, 1), (4, 1, 2), (3, 4, -1), (1, 3, -2), (1, 4, -2)],
     )
-    def test_examples(self, t, expected):
-        assert normalized_fraction(t) == expected
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            normalized_fraction(0)
+    def test_examples(self, num, den, e):
+        assert _binade(num, den) == e
 
     @given(t=rationals())
-    def test_in_binade_and_exact(self, t):
-        tbar = normalized_fraction(t)
-        assert 1 <= abs(tbar) < 2
-        ratio = t / tbar
-        assert ratio > 0
-        # ratio is a power of two
-        num, den = ratio.numerator, ratio.denominator
-        assert num & (num - 1) == 0 and den & (den - 1) == 0
+    def test_brackets_the_value(self, t):
+        scale = binade_scale(t)
+        assert scale <= abs(t) < 2 * scale
 
 
 class TestFpMul:
