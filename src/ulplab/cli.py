@@ -94,6 +94,49 @@ def _parse_x(text: str, p: int) -> FpNumber:
         raise CliError(f"{text}: {exc}") from None
 
 
+# Above this many bits, str() of an int (quadratic in CPython 3.11) loses to
+# the divide-and-conquer conversion of _int_str.
+_STR_DC_BITS = 40_000
+
+
+def _int_str(n: int) -> str:
+    """``str(n)``, in time near-linear in n's length for big n.
+
+    Splits n at a power of two into high and low halves, converts both
+    recursively to ``decimal.Decimal`` and recombines them as hi * 2**w + lo
+    with 2**w held exactly in ``decimal`` (whose multiplication is
+    subquadratic); the method of CPython 3.12's ``_pylong``.
+    """
+    if n.bit_length() <= _STR_DC_BITS:
+        return str(n)
+    import decimal  # only reports this large need it
+
+    powers = {}
+
+    def pow2(w: int) -> decimal.Decimal:
+        if w not in powers:
+            if w <= 512:
+                powers[w] = decimal.Decimal(2) ** w
+            else:
+                powers[w] = pow2(w // 2) * pow2(w - w // 2)
+        return powers[w]
+
+    def convert(m: int, w: int) -> decimal.Decimal:
+        # m >= 0 has at most w bits
+        if w <= 512:
+            return decimal.Decimal(m)
+        half = w // 2
+        hi = m >> half
+        return convert(hi, w - half) * pow2(half) + convert(m - (hi << half), half)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True
+        text = str(convert(abs(n), n.bit_length()))
+    return "-" + text if n < 0 else text
+
+
 def _fp_repr(x: FpNumber) -> str:
     """Render as SIGNIFICAND/2^SHIFT (or a plain integer), unreduced."""
     if x.is_zero:
@@ -101,14 +144,14 @@ def _fp_repr(x: FpNumber) -> str:
     sign = "-" if x.sign < 0 else ""
     shift = x.precision - 1 - x.exponent
     if shift <= 0:
-        return sign + str(x.significand << -shift)
+        return sign + _int_str(x.significand << -shift)
     return f"{sign}{x.significand}/2^{shift}"
 
 
 def _error_obj(err: ErrorInUlps | Fraction, digits: int) -> dict:
     frac = err.value if isinstance(err, ErrorInUlps) else Fraction(err)
     return {
-        "fraction": f"{frac.numerator}/{frac.denominator}",
+        "fraction": f"{_int_str(frac.numerator)}/{_int_str(frac.denominator)}",
         "decimal": to_decimal(frac, digits),
     }
 
@@ -251,7 +294,10 @@ def _cmd_bounds(args: argparse.Namespace) -> tuple[int, str]:
     ns = _parse_range(args.n)
     if ns[-1] > MAX_BOUNDS_N:
         raise CliError(f"bounds tables are limited to n <= {MAX_BOUNDS_N}")
-    cutoff = n_max(args.p)
+    cutoff = n_max(args.p)  # refuses p < 5, so the shift below is safe
+    first_undefined = max(ns[0], (1 << args.p) + 1)  # least n with (n-1)u >= 1
+    if ns[0] >= 2 and first_undefined in ns:
+        bound_set(args.p, first_undefined)  # raises its error before any row
     rows = []
     for n in ns:
         b = bound_set(args.p, n)

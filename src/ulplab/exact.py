@@ -1,12 +1,15 @@
 """Exact-rational measurement of rounding error, in units of u = 2**-p.
 
-All arithmetic here is done on ``fractions.Fraction``; nothing is ever
-rounded except the final decimal rendering, which truncates toward zero
-so printed digits are always a correct prefix of the exact value.
+Errors are exact ``fractions.Fraction`` values.  ``relative_error`` forms
+them in integer arithmetic and reduces them without a gcd of two big
+operands (see its docstring).  Nothing is ever rounded except the final
+decimal rendering, which truncates toward zero so printed digits are
+always a correct prefix of the exact value.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,16 +36,53 @@ class ErrorInUlps:
         return float(self.value)
 
 
-def relative_error(computed: FpNumber, exact: Fraction | int) -> ErrorInUlps:
-    """|computed - exact| / (|exact| * 2**-p), exactly.
+def relative_error(
+    computed: FpNumber, exact: Fraction | int, shift: int = 0
+) -> ErrorInUlps:
+    """|computed - E| / (|E| * 2**-p) for E = exact * 2**shift, exactly.
 
-    ``p`` is the precision carried by ``computed``.
+    ``p`` is the precision carried by ``computed``.  A long product passes
+    its exact value as an integer and a shift, so no big ``Fraction`` is
+    ever built.  With computed = C * 2**t and exact = N/D in lowest terms,
+    the error is |C*D*2**a - N*2**b| * 2**p / (|N| * 2**b) for a, b >= 0
+    with a - b = t - shift.  Modulo N's odd part the difference is
+    C*D*2**a, and D is prime to N, so the odd part of the gcd is that of
+    C and N: one remainder by the p-bit C.  The power of two comes from
+    trailing-zero counts.
     """
-    exact = Fraction(exact)
-    if exact == 0:
+    N, D = exact.numerator, exact.denominator
+    if N == 0:
         raise ValueError("relative error against a zero exact value is undefined")
-    diff = abs(computed.to_fraction() - exact)
-    return ErrorInUlps(diff * (1 << computed.precision) / abs(exact))
+    p = computed.precision
+    if computed.is_zero:
+        return ErrorInUlps(Fraction(1 << p))
+    C = computed.sign * computed.significand
+    a = computed.exponent - p + 1 - shift
+    b = max(-a, 0)
+    diff = abs((C * D << max(a, 0)) - (N << b))
+    if not diff:
+        return ErrorInUlps(Fraction(0))
+    N = abs(N)
+    twos = min(_trailing_zeros(diff) + p, _trailing_zeros(N) + b)
+    C_odd = abs(C) >> _trailing_zeros(C)
+    N_odd = N >> _trailing_zeros(N)
+    odd = math.gcd(C_odd, N_odd % C_odd)
+    num = (diff << p >> twos) // odd
+    den = (N << b >> twos) // odd
+    return ErrorInUlps(_coprime_fraction(num, den))
+
+
+def _trailing_zeros(n: int) -> int:
+    """The exponent of the largest power of two dividing ``n != 0``."""
+    return (n & -n).bit_length() - 1
+
+
+def _coprime_fraction(num: int, den: int) -> Fraction:
+    """``Fraction(num, den)`` for coprime ``num`` and ``den > 0``, without
+    the gcd that the constructor spends on re-reducing them."""
+    f = object.__new__(Fraction)
+    f._numerator, f._denominator = num, den
+    return f
 
 
 def to_decimal(value: Fraction, digits: int = 9) -> str:

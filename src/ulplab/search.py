@@ -223,11 +223,12 @@ def _scan_binary64(args: tuple[int, int, bool, int, int]) -> tuple[int, int, int
             continue
         x_pow = (half_sig + k) ** n
         err_num = abs((int(v * to_sig) << (ec + expo_scale)) - x_pow) << p
-        state = _merge(state, (err_num, x_pow, k, int(err_num > nm1 * x_pow)))
+        err = err_num / x_pow
+        state = _merge(state, (err_num, x_pow, k, int(err_num > nm1 * x_pow)), err)
         if state[2] == k:
             # Strictly below the exact best, so a candidate inside the band
             # loses to it whatever the order.
-            t = err_num / x_pow * 2.0**-p * (1.0 - _NUDGE)
+            t = err * 2.0**-p * (1.0 - _NUDGE)
             lo, hi = _band(min(t, t_viol), gamma)
     return state
 
@@ -259,16 +260,20 @@ def _error_floor(rho_hat: float, gamma: float) -> float:
 
 
 def _merge(
-    state: tuple[int, int, int, int], part: tuple[int, int, int, int]
+    state: tuple[int, int, int, int],
+    part: tuple[int, int, int, int],
+    new: float | None = None,
 ) -> tuple[int, int, int, int]:
     # Associative and commutative: larger error wins, ties prefer smaller k.
     # Int true division rounds correctly, hence monotonically, so unequal
     # quotients already order the errors; only equal ones need the exact
-    # cross-multiplication.
+    # cross-multiplication.  ``new``, if given, is part's quotient already.
     num, den, k, viol = state
     pnum, pden, pk, pviol = part
     try:
-        new, old = pnum / pden, num / den
+        old = num / den
+        if new is None:
+            new = pnum / pden
     except OverflowError:  # an error beyond 2**1024 ulps
         new = old = 0.0
     if new == old:
@@ -445,5 +450,8 @@ def spot_error(
     Measured on x moved into [1, 2) (or (-2, -1]): the error is invariant
     under binade shifts, and x's own exponent may be too large to raise.
     """
-    x = FpNumber(x.sign, x.significand, 0, x.precision)
-    return relative_error(naive_power(x, n, mode), x.to_fraction() ** n)
+    p = x.precision
+    x = FpNumber(x.sign, x.significand, 0, p)
+    computed = naive_power(x, n, mode)  # first: it refuses n < 1
+    # x is sign * X * 2**(1-p), so x**n is (sign * X)**n * 2**(n*(1-p)).
+    return relative_error(computed, (x.sign * x.significand) ** n, n * (1 - p))

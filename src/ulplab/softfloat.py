@@ -5,6 +5,10 @@ significand ``X`` satisfies ``2**(p-1) <= X <= 2**p - 1``.  Only the two
 round-to-nearest modes and multiplication are provided: that is all the
 iterated-product error measurements need, and keeping the surface small
 means every code path is exercised by the exact-rational cross-checks.
+
+The public constructor validates every field.  ``fp_mul`` and
+``round_nearest`` build results that are normalised by construction, so
+they check only the exponent range and skip the rest of the validation.
 """
 
 from __future__ import annotations
@@ -44,6 +48,11 @@ def _check_precision(p: int) -> None:
         raise ValueError(f"precision must be an integer >= 2, got {p!r}")
 
 
+def _check_exponent(e: int) -> None:
+    if not -EXPONENT_LIMIT <= e <= EXPONENT_LIMIT:
+        raise ExponentRangeError(f"exponent {e} outside +/-{EXPONENT_LIMIT}")
+
+
 @dataclass(frozen=True)
 class FpNumber:
     """An immutable precision-p floating-point value.
@@ -69,10 +78,7 @@ class FpNumber:
             raise ValueError(
                 f"significand {X} not normalised for precision {self.precision}"
             )
-        if abs(self.exponent) > EXPONENT_LIMIT:
-            raise ExponentRangeError(
-                f"exponent {self.exponent} outside +/-{EXPONENT_LIMIT}"
-            )
+        _check_exponent(self.exponent)
 
     @property
     def is_zero(self) -> bool:
@@ -90,6 +96,19 @@ class FpNumber:
     @staticmethod
     def zero(p: int) -> "FpNumber":
         return FpNumber(1, 0, 0, p)
+
+
+def _normalised(sign: int, X: int, e: int, p: int) -> FpNumber:
+    """``FpNumber(sign, X, e, p)`` for fields already known to be valid apart
+    from the exponent range, without the rest of ``__post_init__``."""
+    _check_exponent(e)
+    x = object.__new__(FpNumber)
+    fields = x.__dict__  # frozen, so fill the instance dict directly
+    fields["sign"] = sign
+    fields["significand"] = X
+    fields["exponent"] = e
+    fields["precision"] = p
+    return x
 
 
 def _binade(num: int, den: int) -> int:
@@ -134,7 +153,7 @@ def round_nearest(
     if q == 1 << p:  # rounded up across the binade boundary
         q = 1 << (p - 1)
         e += 1
-    return FpNumber(sign, q, e, p)
+    return _normalised(sign, q, e, p)
 
 
 def fp_mul(
@@ -147,14 +166,12 @@ def fp_mul(
     The exact product has at most 2p significand bits, so this is pure
     integer work; the result equals ``round_nearest`` of the exact product.
     """
-    if a.precision != b.precision:
-        raise ValueError(
-            f"precision mismatch: {a.precision} vs {b.precision}"
-        )
     p = a.precision
-    if a.is_zero or b.is_zero:
+    if p != b.precision:
+        raise ValueError(f"precision mismatch: {p} vs {b.precision}")
+    P = a.significand * b.significand  # 0, or 2p-1 or 2p bits
+    if not P:
         return FpNumber.zero(p)
-    P = a.significand * b.significand  # 2p-1 or 2p bits
     e = a.exponent + b.exponent
     bits = P.bit_length()
     if bits == 2 * p:
@@ -168,4 +185,4 @@ def fp_mul(
         if q == 1 << p:
             q = 1 << (p - 1)
             e += 1
-    return FpNumber(a.sign * b.sign, q, e, p)
+    return _normalised(a.sign * b.sign, q, e, p)

@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -7,15 +8,18 @@ from pathlib import Path
 import pytest
 
 from ulplab.cli import (
+    _STR_DC_BITS,
     GOLDEN_SCENARIOS,
     CliError,
     _fp_repr,
+    _int_str,
     _parse_range,
     _parse_x,
     main,
     run,
 )
 from ulplab.adversary import build_sequence
+from ulplab.bounds import bound_set
 from ulplab.exact import unlimited_int_digits
 from ulplab.softfloat import FpNumber
 
@@ -250,6 +254,37 @@ class TestBoundsCommand:
         code, text = run(argv)
         assert code == 0
         assert text.splitlines()[1].split()[0] == "10000"
+
+
+    @pytest.mark.parametrize(
+        "n,message",
+        [
+            ("2..300", "gamma undefined: (n-1)*u = 1 >= 1"),
+            ("258..300", "gamma undefined: (n-1)*u = 257/256 >= 1"),
+            ("0..300", "n must be >= 2, got 0"),
+        ],
+    )
+    def test_undefined_gamma_refused_before_any_row(self, n, message, monkeypatch):
+        # the message is that of the first row bound_set refuses, and that
+        # row is the only one computed
+        import ulplab.cli
+
+        calls = []
+
+        def recording(p, n):
+            calls.append(n)
+            return bound_set(p, n)
+
+        monkeypatch.setattr(ulplab.cli, "bound_set", recording)
+        with pytest.raises(CliError) as info:
+            run(["bounds", "--p", "8", "--n", n])
+        assert str(info.value) == message
+        assert len(calls) == 1
+
+    def test_last_defined_n_still_renders(self):
+        code, text = run(["bounds", "--p", "8", "--n", "255..256", "--format", "csv"])
+        assert code == 0
+        assert [line.split(",")[0] for line in text.splitlines()] == ["n", "255", "256"]
 
 
 class TestAdversaryCommand:
@@ -691,3 +726,27 @@ class TestBigPrecisionOutput:
                 f.to_fraction() for f in seq
             ]
         assert max(len(f) for f in factors) > 4300
+
+
+class TestIntStr:
+    # Above _STR_DC_BITS integers are converted by splitting at powers of
+    # two; every digit must match str(), at the split sizes and across them.
+    @staticmethod
+    def cases():
+        rng = random.Random(10)
+        k = _STR_DC_BITS * 3 // 10  # 10**k has about _STR_DC_BITS bits
+        yield from (10**j + d for j in (k - 5, k, k + 5, 3 * k) for d in (-1, 0, 1))
+        for bits in (_STR_DC_BITS - 1, _STR_DC_BITS, _STR_DC_BITS + 1, 3 * _STR_DC_BITS):
+            yield from ((1 << bits) + d for d in (-1, 0, 1))
+            yield rng.getrandbits(bits) | 1 << (bits - 1)
+        # long runs of zero bits and of zero digits around a split point
+        yield (1 << (2 * _STR_DC_BITS)) + 12345
+        yield (rng.getrandbits(1000) << 60_000) + rng.getrandbits(500)
+        yield 7 * 10**30_000 + 3
+        yield 0
+
+    def test_matches_str_across_the_threshold(self):
+        with unlimited_int_digits():
+            for n in self.cases():
+                assert _int_str(n) == str(n)
+                assert _int_str(-n) == str(-n)

@@ -1,12 +1,48 @@
+import math
 import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ulplab import ErrorInUlps, relative_error, round_nearest, to_decimal
+from ulplab import ErrorInUlps, FpNumber, relative_error, round_nearest, to_decimal
 from oracle import oracle_error_ulps, oracle_power
+
+
+@st.composite
+def error_cases(draw):
+    """(computed, exact, shift) with exact * 2**shift an awkward exact value.
+
+    The exact value is a plain rational (dyadic or not), an integer with a
+    shift, a multiple of computed's significand, or computed's own value
+    written with its significand scaled by a power of two (error zero).
+    """
+    p = draw(st.sampled_from([2, 3, 8, 24, 53]))
+    sig = draw(st.integers(min_value=1 << (p - 1), max_value=(1 << p) - 1))
+    sign = draw(st.sampled_from([1, -1]))
+    e = draw(st.integers(min_value=-80, max_value=80))
+    computed = FpNumber(sign, sig, e, p)
+    t = e - p + 1  # computed == sign * sig * 2**t
+    shift = draw(st.one_of(st.just(0), st.integers(min_value=-150, max_value=150)))
+    kind = draw(st.sampled_from(["rational", "integer", "multiple", "equal"]))
+    esign = draw(st.sampled_from([1, -1]))
+    if kind == "rational":
+        num = draw(st.integers(min_value=1, max_value=10**30))
+        den = draw(st.integers(min_value=1, max_value=10**30))
+        return computed, Fraction(esign * num, den), shift
+    if kind == "integer":
+        return computed, esign * draw(st.integers(min_value=1, max_value=1 << 200)), shift
+    if kind == "multiple":  # sig divides the exact numerator
+        m = draw(st.integers(min_value=1, max_value=1 << 70))
+        return computed, esign * sig * m, shift
+    j = draw(st.integers(min_value=0, max_value=40))
+    return computed, sign * sig << j, t - j
+
+
+def fraction_error(computed, exact, shift):
+    e = Fraction(exact) * Fraction(2) ** shift
+    return abs(computed.to_fraction() - e) * (1 << computed.precision) / abs(e)
 
 
 class TestErrorInUlps:
@@ -41,6 +77,32 @@ class TestRelativeError:
         x = round_nearest(1, 8)
         with pytest.raises(ValueError):
             relative_error(x, 0)
+
+    @given(case=error_cases())
+    @settings(max_examples=400)
+    def test_matches_fraction_arithmetic(self, case):
+        computed, exact, shift = case
+        got = relative_error(computed, exact, shift).value
+        assert got == fraction_error(computed, exact, shift)
+        # built without the constructor's gcd, so check it is in lowest terms
+        assert got.denominator > 0
+        assert math.gcd(got.numerator, got.denominator) == 1
+
+    @pytest.mark.parametrize(
+        "computed,exact,shift",
+        [
+            (FpNumber(1, 6, 0, 3), 3, -1),  # even C, equal values
+            (FpNumber(1, 6, 0, 3), 12, -3),  # even N, equal values
+            (FpNumber(-1, 5, 4, 3), 40, 0),  # signs differ
+            (FpNumber(1, 5, 0, 3), 15, -2),  # C divides N
+            (FpNumber(1, 4, 0, 3), Fraction(-4, 3), 0),  # power of two, non-dyadic N/D
+            (FpNumber.zero(8), Fraction(3, 7), 5),  # computed zero: 2**p ulps
+        ],
+    )
+    def test_edges(self, computed, exact, shift):
+        got = relative_error(computed, exact, shift).value
+        assert got == fraction_error(computed, exact, shift)
+        assert math.gcd(got.numerator, got.denominator) == 1
 
     @given(
         sig=st.integers(min_value=1 << 9, max_value=(1 << 10) - 1),

@@ -56,7 +56,10 @@ OPTIONS = {
     "spot": {
         "--p": PRECISION,
         "--x": (
-            ["1", "3/2", "8473808/2^23", "1/2^3", "-3", "0", "7/3"],
+            # 6/4: an even significand; -3/2^900: a negative value with a
+            # large 2^K; 2 and 1/2^7: exact powers of two
+            ["1", "3/2", "8473808/2^23", "1/2^3", "-3", "0", "7/3",
+             "6/4", "-3/2^900", "2", "1/2^7"],
             ["1/0", "2^3", "x", "", "7\n/3", "1/2^" + "9" * 20, f"1/2^{2**62 + 1}"],
         ),
         "--n": COUNT,

@@ -250,3 +250,75 @@ class TestToRational:
     @given(x=fp_numbers(16))
     def test_round_trip(self, x):
         assert round_nearest(x.to_fraction(), 16) == x
+
+
+def revalidated(x: FpNumber) -> FpNumber:
+    """x rebuilt through the public constructor, which checks every field."""
+    return FpNumber(x.sign, x.significand, x.exponent, x.precision)
+
+
+# Exponents near +/- EXPONENT_LIMIT / 2, so that a product's exponent lands
+# on either side of the limit.
+_HALF_LIMIT = EXPONENT_LIMIT // 2
+near_half_limit = st.builds(
+    lambda s, d: s * (_HALF_LIMIT + d),
+    st.sampled_from([1, -1]),
+    st.integers(min_value=-3, max_value=3),
+)
+
+
+class TestNormalisedResults:
+    # fp_mul and round_nearest skip the constructor's validation; their
+    # results must be exactly what the validating constructor builds.
+    @given(
+        p=st.sampled_from([2, 3, 8, 13, 24]),
+        data=st.data(),
+        exps=st.one_of(
+            st.tuples(st.integers(-40, 40), st.integers(-40, 40)),
+            st.tuples(near_half_limit, near_half_limit),
+        ),
+        mode=st.sampled_from([EVEN, AWAY]),
+    )
+    @settings(max_examples=300)
+    def test_fp_mul_matches_validating_constructor(self, p, data, exps, mode):
+        sigs = st.integers(min_value=1 << (p - 1), max_value=(1 << p) - 1)
+        signs = st.sampled_from([1, -1])
+        a0 = FpNumber(data.draw(signs), data.draw(sigs), 0, p)
+        b0 = FpNumber(data.draw(signs), data.draw(sigs), 0, p)
+        a = FpNumber(a0.sign, a0.significand, exps[0], p)
+        b = FpNumber(b0.sign, b0.significand, exps[1], p)
+        # the product of a and b is that of a0 and b0 moved by 2**(ea + eb)
+        base = fp_mul(a0, b0, mode)
+        want_e = base.exponent + exps[0] + exps[1]
+        if abs(want_e) > EXPONENT_LIMIT:
+            with pytest.raises(ExponentRangeError):
+                fp_mul(a, b, mode)
+            with pytest.raises(ExponentRangeError):
+                FpNumber(base.sign, base.significand, want_e, p)
+            return
+        got = fp_mul(a, b, mode)
+        want = FpNumber(base.sign, base.significand, want_e, p)
+        assert got == want == revalidated(got)
+        assert hash(got) == hash(want) and repr(got) == repr(want)
+
+    @given(
+        t=rationals(max_exp=200),
+        p=st.sampled_from([2, 3, 8, 24, 53]),
+        mode=st.sampled_from([EVEN, AWAY]),
+    )
+    def test_round_nearest_matches_validating_constructor(self, t, p, mode):
+        got = round_nearest(t, p, mode)
+        assert got == revalidated(got)
+        assert repr(got) == repr(revalidated(got))
+
+    def test_results_at_the_limit(self):
+        # 1.5 * 1.5 = 2.25 carries into the next binade: exponent + 1
+        x = FpNumber(1, 3 << 6, EXPONENT_LIMIT // 2, 8)
+        y = FpNumber(1, 1 << 7, EXPONENT_LIMIT - EXPONENT_LIMIT // 2, 8)
+        assert fp_mul(x, y) == FpNumber(1, 3 << 6, EXPONENT_LIMIT, 8)
+        with pytest.raises(ExponentRangeError):
+            fp_mul(x, x)  # 2.25 * 2**(2 * (EXPONENT_LIMIT // 2))
+        small = FpNumber(1, 1 << 7, -EXPONENT_LIMIT, 8)
+        assert fp_mul(small, round_nearest(1, 8)) == small
+        with pytest.raises(ExponentRangeError):
+            fp_mul(small, round_nearest(Fraction(1, 2), 8))
