@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algorithms import DOWN, iterated_product, step_directions
-from .exact import ErrorInUlps, relative_error
+from .exact import relative_error
 from .softfloat import FpNumber, RoundingMode, fp_mul, round_nearest
 
 __all__ = [
@@ -53,11 +53,9 @@ class SequenceConstructionError(ValueError):
 class SequenceReport:
     """Outcome of independently re-running and checking a sequence."""
 
-    p: int
-    n: int
     directions: tuple[str, ...]  # one per rounded multiplication
     all_down: bool
-    achieved_error: ErrorInUlps
+    achieved_error: Fraction  # in ulps
     error_bound: int  # n - 1
     gap: Fraction  # error_bound - achieved_error, in ulps
     passed: bool
@@ -142,12 +140,10 @@ def verify_sequence(factors: tuple[FpNumber, ...]) -> SequenceReport:
     achieved = relative_error(trace.final, *_exact_product(factors))
     bound = len(factors) - 1
     return SequenceReport(
-        p=factors[0].precision,
-        n=len(factors),
         directions=directions,
         all_down=all_down,
         achieved_error=achieved,
         error_bound=bound,
-        gap=bound - achieved.value,
-        passed=all_down and achieved.value < bound,
+        gap=bound - achieved,
+        passed=all_down and achieved < bound,
     )

@@ -37,8 +37,6 @@ class BoundSet:
     simple = (n-1)u, psi = (1+u)**(n-1) - 1, gamma = (n-1)u / (1-(n-1)u).
     """
 
-    p: int
-    n: int
     u: Fraction
     simple: Fraction
     psi: Fraction
@@ -69,8 +67,6 @@ def bound_set(p: int, n: int) -> BoundSet:
     if k * u >= 1:
         raise ValueError(f"gamma undefined: (n-1)*u = {k * u} >= 1")
     return BoundSet(
-        p=p,
-        n=n,
         u=u,
         simple=k * u,
         psi=(1 + u) ** k - 1,

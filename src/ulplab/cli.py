@@ -30,7 +30,7 @@ from .bounds import (
     check_refined_binary32_bound,
     n_max,
 )
-from .exact import ErrorInUlps, to_decimal, unlimited_int_digits
+from .exact import to_decimal, unlimited_int_digits
 from .search import DEFAULT_CHUNK_SIZE, PRECISION_GUARD, exhaustive_max_error, spot_error
 from .softfloat import (
     ExponentRangeError,
@@ -47,6 +47,11 @@ SCHEMA_VERSION = 1
 # Rows beyond this make the psi/gamma table columns explode (their exact
 # numerators grow with n*p bits), so refuse early with a clear message.
 MAX_BOUNDS_N = 10**4
+
+# Every command that takes --p builds p-bit numbers before anything else can
+# fail, so a huge p would exhaust memory; it is refused first.  n_max, the
+# slowest of them, still runs in well under a second at this limit.
+MAX_PRECISION = 1 << 16
 
 
 class CliError(Exception):
@@ -148,11 +153,10 @@ def _fp_repr(x: FpNumber) -> str:
     return f"{sign}{x.significand}/2^{shift}"
 
 
-def _error_obj(err: ErrorInUlps | Fraction, digits: int) -> dict:
-    frac = err.value if isinstance(err, ErrorInUlps) else Fraction(err)
+def _error_obj(err: Fraction, digits: int) -> dict:
     return {
-        "fraction": f"{_int_str(frac.numerator)}/{_int_str(frac.denominator)}",
-        "decimal": to_decimal(frac, digits),
+        "fraction": f"{_int_str(err.numerator)}/{_int_str(err.denominator)}",
+        "decimal": to_decimal(err, digits),
     }
 
 
@@ -361,12 +365,13 @@ _VERIFY_COLUMNS = (
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
+    ns = _parse_range(args.n)  # refused even when --p is absent
     checks = [
         {"name": c.name, "passed": c.passed, "checked": c.checked}
         for c in (check_property1(), check_lemma2(), check_refined_binary32_bound())
     ]
     if args.p is not None:
-        for n in _parse_range(args.n):
+        for n in ns:
             report = verify_sequence(build_sequence(args.p, n))
             checks.append(
                 {
@@ -552,6 +557,8 @@ def run(argv: list[str]) -> tuple[int, str]:
     args = _PARSER.parse_args(argv)
     if getattr(args, "digits", 9) < 1:
         raise CliError("--digits must be >= 1")
+    if (getattr(args, "p", None) or 0) > MAX_PRECISION:
+        raise CliError(f"--p must be <= {MAX_PRECISION}, got {args.p}")
     try:
         with unlimited_int_digits():
             return args.handler(args)

@@ -1,44 +1,27 @@
 """Exact-rational measurement of rounding error, in units of u = 2**-p.
 
-Errors are exact ``fractions.Fraction`` values.  ``relative_error`` forms
-them in integer arithmetic and reduces them without a gcd of two big
-operands (see its docstring).  Nothing is ever rounded except the final
-decimal rendering, which truncates toward zero so printed digits are
-always a correct prefix of the exact value.
+Every error ulplab returns is a plain, non-negative ``fractions.Fraction``
+in ulps, in lowest terms.  ``relative_error`` forms it in integer
+arithmetic and reduces it without a gcd of two big operands (see its
+docstring).  Nothing is ever rounded except the final decimal rendering,
+``to_decimal``, which truncates toward zero so printed digits are always a
+correct prefix of the exact value.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .softfloat import FpNumber
 
-__all__ = ["ErrorInUlps", "relative_error", "to_decimal"]
-
-
-@dataclass(frozen=True, order=True)
-class ErrorInUlps:
-    """A non-negative relative error divided by the unit roundoff."""
-
-    value: Fraction
-
-    def __post_init__(self) -> None:
-        if self.value < 0:
-            raise ValueError("error in ulps cannot be negative")
-
-    def decimal(self, digits: int = 9) -> str:
-        return to_decimal(self.value, digits)
-
-    def __float__(self) -> float:
-        return float(self.value)
+__all__ = ["relative_error", "to_decimal"]
 
 
 def relative_error(
     computed: FpNumber, exact: Fraction | int, shift: int = 0
-) -> ErrorInUlps:
+) -> Fraction:
     """|computed - E| / (|E| * 2**-p) for E = exact * 2**shift, exactly.
 
     ``p`` is the precision carried by ``computed``.  A long product passes
@@ -55,13 +38,13 @@ def relative_error(
         raise ValueError("relative error against a zero exact value is undefined")
     p = computed.precision
     if computed.is_zero:
-        return ErrorInUlps(Fraction(1 << p))
+        return Fraction(1 << p)
     C = computed.sign * computed.significand
     a = computed.exponent - p + 1 - shift
     b = max(-a, 0)
     diff = abs((C * D << max(a, 0)) - (N << b))
     if not diff:
-        return ErrorInUlps(Fraction(0))
+        return Fraction(0)
     N = abs(N)
     twos = min(_trailing_zeros(diff) + p, _trailing_zeros(N) + b)
     C_odd = abs(C) >> _trailing_zeros(C)
@@ -69,7 +52,7 @@ def relative_error(
     odd = math.gcd(C_odd, N_odd % C_odd)
     num = (diff << p >> twos) // odd
     den = (N << b >> twos) // odd
-    return ErrorInUlps(_coprime_fraction(num, den))
+    return _coprime_fraction(num, den)
 
 
 def _trailing_zeros(n: int) -> int:

@@ -77,7 +77,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .algorithms import naive_power
-from .exact import ErrorInUlps, relative_error
+from .exact import relative_error
 from .softfloat import FpNumber, RoundingMode, _check_precision
 
 __all__ = ["SearchReport", "exhaustive_max_error", "spot_error"]
@@ -92,12 +92,10 @@ CHECKPOINT_SCHEMA_VERSION = 2
 
 @dataclass(frozen=True)
 class SearchReport:
-    """Result of scanning significands k_start .. k_stop-1 at precision p."""
+    """Result of scanning significands k_start .. k_stop-1 for the n-th power."""
 
-    p: int
     n: int
-    mode: RoundingMode
-    max_error: ErrorInUlps
+    max_error: Fraction  # in ulps
     argmax_x: FpNumber  # smallest x attaining max_error in the scanned range
     scanned: int
     violations: int  # inputs whose error exceeded (n-1) ulps
@@ -428,10 +426,8 @@ def exhaustive_max_error(
     num, den, best_k, violations = state
     argmax = FpNumber(1, (1 << (p - 1)) + best_k, 0, p)
     return SearchReport(
-        p=p,
         n=n,
-        mode=mode,
-        max_error=ErrorInUlps(Fraction(num, den)),
+        max_error=Fraction(num, den),
         argmax_x=argmax,
         scanned=k_stop - k_start,
         violations=violations,
@@ -444,8 +440,8 @@ def spot_error(
     x: FpNumber,
     n: int,
     mode: RoundingMode = RoundingMode.TIES_EVEN,
-) -> ErrorInUlps:
-    """Exact relative error of naive_power(x, n) against the rational x**n.
+) -> Fraction:
+    """Exact relative error in ulps of naive_power(x, n) against the rational x**n.
 
     Measured on x moved into [1, 2) (or (-2, -1]): the error is invariant
     under binade shifts, and x's own exponent may be too large to raise.

@@ -9,6 +9,7 @@ from ulplab import (
     RoundingMode,
     build_sequence,
     iterated_product,
+    to_decimal,
     verify_sequence,
 )
 from ulplab.adversary import SequenceConstructionError, _exact_product
@@ -45,8 +46,8 @@ class TestBuildSequence:
         report = verify_sequence(build_sequence(24, 2))
         # the seed square is an exact tie; even wins below, so the whole
         # error is one half-step: 1/pi_2 ulps
-        assert report.achieved_error.value == Fraction(16777216, 16785409)
-        assert report.achieved_error.value < 1
+        assert report.achieved_error == Fraction(16777216, 16785409)
+        assert report.achieved_error < 1
 
     def test_guards(self):
         with pytest.raises(ValueError):
@@ -62,12 +63,12 @@ class TestBuildSequence:
     def test_achieved_error_below_bound_always(self):
         for p, n in [(8, 30), (12, 100), (24, 40), (53, 12)]:
             report = verify_sequence(build_sequence(p, n))
-            assert report.achieved_error.value < n - 1
+            assert report.achieved_error < n - 1
 
     def test_achieved_error_increases_with_n(self):
         prev = Fraction(-1)
         for n in range(2, 26):
-            cur = verify_sequence(build_sequence(24, n)).achieved_error.value
+            cur = verify_sequence(build_sequence(24, n)).achieved_error
             assert cur > prev
             prev = cur
 
@@ -116,16 +117,15 @@ class TestVerifySequence:
 
     def test_gap_is_bound_minus_achieved(self):
         report = verify_sequence(build_sequence(24, 10))
-        assert report.gap == report.error_bound - report.achieved_error.value
+        assert report.gap == report.error_bound - report.achieved_error
         assert 0 < report.gap < Fraction(1, 100)
 
     def test_p_and_n_come_from_the_factors(self):
         factors = build_sequence(24, 10)
         report = verify_sequence(factors)
-        assert (report.p, report.n, report.error_bound) == (24, 10, 9)
-        assert len(report.directions) == 9
+        assert (report.error_bound, len(report.directions)) == (9, 9)
         short = verify_sequence(factors[:4])
-        assert (short.p, short.n, short.error_bound) == (24, 4, 3)
+        assert (short.error_bound, len(short.directions)) == (3, 3)
 
     def test_tampered_factors_fail(self):
         factors = build_sequence(24, 6)
@@ -182,7 +182,7 @@ class TestReferenceErrors:
     )
     def test_table_prefixes(self, p, n, prefix):
         report = verify_sequence(build_sequence(p, n))
-        assert report.achieved_error.decimal(25).startswith(prefix)
+        assert to_decimal(report.achieved_error, 25).startswith(prefix)
 
     def test_p24_n100_gap(self):
         report = verify_sequence(build_sequence(24, 100))

@@ -10,6 +10,7 @@ import pytest
 from ulplab.cli import (
     _STR_DC_BITS,
     GOLDEN_SCENARIOS,
+    MAX_PRECISION,
     CliError,
     _fp_repr,
     _int_str,
@@ -541,7 +542,8 @@ class TestMainEntry:
 
 
 class TestErrorBoundary:
-    # Library ValueErrors become one "error:" line and exit status 2.
+    # Library ValueErrors become one "error:" line and exit status 2, and so
+    # do an unused but malformed verify --n and a p too large to allocate.
     @pytest.mark.parametrize(
         "argv",
         [
@@ -552,6 +554,13 @@ class TestErrorBoundary:
             ["bounds", "--p", "4", "--n", "3"],
             ["adversary", "--p", "24", "--n", "1"],
             ["search", "--p", "8", "--n", "3", "--chunk-size", "0"],
+            ["verify", "--n", "x"],
+            ["verify", "--n", "5..2"],
+            ["spot", "--p", "1000000000000", "--x", "1", "--n", "2"],
+            ["bounds", "--p", "1000000000000", "--n", "2"],
+            ["adversary", "--p", "1000000000000", "--n", "3"],
+            ["verify", "--p", "1000000000000"],
+            ["search", "--p", "1000000000000", "--force", "--around", "5", "--n", "2"],
         ],
     )
     def test_library_error_exits_2(self, argv, capsys):
@@ -560,6 +569,10 @@ class TestErrorBoundary:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
+
+    def test_precision_limit_is_inclusive(self):
+        code, text = run(["spot", "--p", str(MAX_PRECISION), "--x", "3", "--n", "2"])
+        assert (code, text.splitlines()[1].split()[:2]) == (0, ["2", "0.000000000"])
 
     @pytest.mark.parametrize(
         "argv,err",

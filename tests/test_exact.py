@@ -6,7 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ulplab import ErrorInUlps, FpNumber, relative_error, round_nearest, to_decimal
+from ulplab import (
+    FpNumber,
+    RoundingMode,
+    build_sequence,
+    exhaustive_max_error,
+    relative_error,
+    round_nearest,
+    spot_error,
+    to_decimal,
+    verify_sequence,
+)
 from oracle import oracle_error_ulps, oracle_power
 
 
@@ -45,23 +55,39 @@ def fraction_error(computed, exact, shift):
     return abs(computed.to_fraction() - e) * (1 << computed.precision) / abs(e)
 
 
-class TestErrorInUlps:
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            ErrorInUlps(Fraction(-1, 3))
-
-    def test_ordering_and_float(self):
-        assert ErrorInUlps(Fraction(1, 3)) < ErrorInUlps(Fraction(1, 2))
-        assert float(ErrorInUlps(Fraction(1, 2))) == 0.5
-
-    def test_decimal_shortcut(self):
-        assert ErrorInUlps(Fraction(1, 3)).decimal(5) == "0.33333"
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_every_error_is_a_reduced_nonnegative_fraction(data):
+    # Each producer of an error in ulps, on inputs drawn small enough that
+    # an example runs in milliseconds.
+    p = data.draw(st.integers(min_value=2, max_value=8))
+    n = data.draw(st.integers(min_value=1, max_value=8))
+    mode = data.draw(st.sampled_from(list(RoundingMode)))
+    x = FpNumber(
+        data.draw(st.sampled_from([1, -1])),
+        data.draw(st.integers(min_value=1 << (p - 1), max_value=(1 << p) - 1)),
+        data.draw(st.integers(min_value=-40, max_value=40)),
+        p,
+    )
+    q = data.draw(st.integers(min_value=8, max_value=60))
+    factors = build_sequence(q, data.draw(st.integers(min_value=2, max_value=30)))
+    errors = [
+        relative_error(*data.draw(error_cases())),
+        spot_error(x, n, mode),
+        exhaustive_max_error(p, n, mode).max_error,
+        verify_sequence(factors).achieved_error,
+    ]
+    for err in errors:
+        assert type(err) is Fraction
+        assert err.denominator > 0
+        assert math.gcd(err.numerator, err.denominator) == 1
+        assert err >= 0
 
 
 class TestRelativeError:
     def test_zero_for_representable(self):
         x = round_nearest(Fraction(3, 2), 8)
-        assert relative_error(x, Fraction(3, 2)).value == 0
+        assert relative_error(x, Fraction(3, 2)) == 0
 
     def test_small_square_case(self):
         # squaring 1 + 2**-7 at p = 8 discards 2**-14; in ulps that is
@@ -71,7 +97,7 @@ class TestRelativeError:
 
         sq = fp_mul(x, x)
         err = relative_error(sq, x.to_fraction() ** 2)
-        assert err.value == Fraction(256, 16641)
+        assert err == Fraction(256, 16641)
 
     def test_zero_exact_rejected(self):
         x = round_nearest(1, 8)
@@ -82,7 +108,7 @@ class TestRelativeError:
     @settings(max_examples=400)
     def test_matches_fraction_arithmetic(self, case):
         computed, exact, shift = case
-        got = relative_error(computed, exact, shift).value
+        got = relative_error(computed, exact, shift)
         assert got == fraction_error(computed, exact, shift)
         # built without the constructor's gcd, so check it is in lowest terms
         assert got.denominator > 0
@@ -100,7 +126,7 @@ class TestRelativeError:
         ],
     )
     def test_edges(self, computed, exact, shift):
-        got = relative_error(computed, exact, shift).value
+        got = relative_error(computed, exact, shift)
         assert got == fraction_error(computed, exact, shift)
         assert math.gcd(got.numerator, got.denominator) == 1
 
@@ -130,7 +156,7 @@ class TestRelativeError:
 
         x = FpNumber(1, sig, 0, 8)
         exact = Fraction(num, den)
-        assert relative_error(x, exact).value == oracle_error_ulps(
+        assert relative_error(x, exact) == oracle_error_ulps(
             x.to_fraction(), exact, 8
         )
 
@@ -154,7 +180,7 @@ class TestToDecimal:
 
         x = FpNumber(1, 8429278, 0, 24)
         err = relative_error(naive_power(x, 10), x.to_fraction() ** 10)
-        assert to_decimal(err.value, 9).startswith("7.05960314")
+        assert to_decimal(err, 9).startswith("7.05960314")
 
     def test_renders_past_int_str_limit(self, default_int_digit_limit):
         # Both parts may be longer than Python's default 4300-digit limit.

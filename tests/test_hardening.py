@@ -31,7 +31,10 @@ TMP = "<tmp>"  # replaced by a fresh temporary directory in every example
 # Each option maps to (values it parses, malformed values), small fixed lists
 # so that each example runs in milliseconds: p <= 12 for search, n <= 60,
 # --digits <= 40.  Parsed values still include some that the library refuses.
-PRECISION = (["2", "4", "5", "8", "24", "53", "113"], ["0", "1", "-1", "x", ""])
+PRECISION = (
+    ["2", "4", "5", "8", "24", "53", "113"],
+    ["0", "1", "-1", "x", "", "1000000000000"],
+)
 COUNT = (["0", "1", "2", "6", "60", "2..5", "1..60"], ["-2", "5..2", "3..", "..", "x", ""])
 OUTPUT = {
     "--format": (["table", "csv", "json"], ["xml", ""]),
@@ -41,7 +44,7 @@ MODE = {"--mode": (["even", "away"], ["up", ""])}
 FLAG = ([], [])
 OPTIONS = {
     "search": {
-        "--p": (["2", "3", "5", "8", "12"], ["1", "0", "-1", "x", ""]),
+        "--p": (["2", "3", "5", "8", "12"], ["1", "0", "-1", "x", "", "1000000000000"]),
         "--n": (["1", "2", "3", "6", "60", "2..4", "58..60"], ["0", "-1", "4..2", "x", ""]),
         "--jobs": (["1", "2"], ["0", "-1"]),
         "--checkpoint": ([f"{TMP}/ck.json"], [f"{TMP}/absent/ck.json", TMP]),
