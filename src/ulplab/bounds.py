@@ -1,9 +1,9 @@
 """Closed-form error bounds, the n_max cutoff, and their exact numeric checks.
 
-Everything is exact: the classical bounds are rationals, ``n_max``
-decides its irrational threshold through an integer predicate, and the
-check suites evaluate the paper's inequalities at rational sample points,
-so no double-precision rounding can leak into a result.
+Everything is exact: the classical bounds are rationals in ulps built from
+integers, ``n_max`` decides its irrational threshold through an integer
+predicate, and the check suites evaluate the paper's inequalities at
+rational sample points, so no double-precision rounding can leak in.
 """
 
 from __future__ import annotations
@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+
+from .exact import _coprime_fraction
 
 __all__ = [
     "BoundSet",
@@ -20,7 +22,6 @@ __all__ = [
     "check_property1",
     "check_refined_binary32_bound",
     "n_max",
-    "unit_roundoff",
 ]
 
 # Lemma 2 is sampled at these chain lengths, each interval cut into
@@ -31,14 +32,10 @@ _LEMMA2_SUBDIVISIONS = 16
 
 @dataclass(frozen=True)
 class BoundSet:
-    """The classical relative-error bounds at precision p for an n-term chain.
+    """The classical bounds for an n-term chain at p bits, in ulps (u = 2**-p):
+    with k = n-1, simple = k, psi = ((1+u)**k - 1)/u, gamma = k/(1 - k*u)."""
 
-    All fields are exact rationals (relative errors, not ulp counts):
-    simple = (n-1)u, psi = (1+u)**(n-1) - 1, gamma = (n-1)u / (1-(n-1)u).
-    """
-
-    u: Fraction
-    simple: Fraction
+    simple: int
     psi: Fraction
     gamma: Fraction
 
@@ -52,25 +49,24 @@ class CheckReport:
     checked: int
 
 
-def unit_roundoff(p: int) -> Fraction:
-    if p < 2:
-        raise ValueError(f"precision must be >= 2, got {p}")
-    return Fraction(1, 1 << p)
-
-
 def bound_set(p: int, n: int) -> BoundSet:
-    """Exact bound values for an (n-1)-multiplication chain at precision p."""
+    """Exact bounds, in ulps, for an (n-1)-multiplication chain at precision p.
+
+    With k = n-1 and U = 2**p, psi = ((U+1)**k - U**k) / U**(k-1): every
+    term of the numerator but the binomial's 1 is a multiple of U, so it is
+    odd and the fraction is already reduced.  gamma = k*U / (U-k).
+    """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    u = unit_roundoff(p)
-    k = n - 1
-    if k * u >= 1:
-        raise ValueError(f"gamma undefined: (n-1)*u = {k * u} >= 1")
+    if p < 2:
+        raise ValueError(f"precision must be >= 2, got {p}")
+    k, U = n - 1, 1 << p
+    if k >= U:
+        raise ValueError(f"gamma undefined: (n-1)*u = {Fraction(k, U)} >= 1")
     return BoundSet(
-        u=u,
-        simple=k * u,
-        psi=(1 + u) ** k - 1,
-        gamma=k * u / (1 - k * u),
+        simple=k,
+        psi=_coprime_fraction((U + 1) ** k - (1 << p * k), 1 << p * (k - 1)),
+        gamma=Fraction(k * U, U - k),
     )
 
 

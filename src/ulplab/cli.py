@@ -30,7 +30,7 @@ from .bounds import (
     check_refined_binary32_bound,
     n_max,
 )
-from .exact import to_decimal, unlimited_int_digits
+from .exact import _int_str, to_decimal, unlimited_int_digits
 from .search import DEFAULT_CHUNK_SIZE, PRECISION_GUARD, exhaustive_max_error, spot_error
 from .softfloat import (
     ExponentRangeError,
@@ -99,49 +99,6 @@ def _parse_x(text: str, p: int) -> FpNumber:
         raise CliError(f"{text}: {exc}") from None
 
 
-# Above this many bits, str() of an int (quadratic in CPython 3.11) loses to
-# the divide-and-conquer conversion of _int_str.
-_STR_DC_BITS = 40_000
-
-
-def _int_str(n: int) -> str:
-    """``str(n)``, in time near-linear in n's length for big n.
-
-    Splits n at a power of two into high and low halves, converts both
-    recursively to ``decimal.Decimal`` and recombines them as hi * 2**w + lo
-    with 2**w held exactly in ``decimal`` (whose multiplication is
-    subquadratic); the method of CPython 3.12's ``_pylong``.
-    """
-    if n.bit_length() <= _STR_DC_BITS:
-        return str(n)
-    import decimal  # only reports this large need it
-
-    powers = {}
-
-    def pow2(w: int) -> decimal.Decimal:
-        if w not in powers:
-            if w <= 512:
-                powers[w] = decimal.Decimal(2) ** w
-            else:
-                powers[w] = pow2(w // 2) * pow2(w - w // 2)
-        return powers[w]
-
-    def convert(m: int, w: int) -> decimal.Decimal:
-        # m >= 0 has at most w bits
-        if w <= 512:
-            return decimal.Decimal(m)
-        half = w // 2
-        hi = m >> half
-        return convert(hi, w - half) * pow2(half) + convert(m - (hi << half), half)
-
-    with decimal.localcontext() as ctx:
-        ctx.prec = decimal.MAX_PREC
-        ctx.Emax = decimal.MAX_EMAX
-        ctx.traps[decimal.Inexact] = True
-        text = str(convert(abs(n), n.bit_length()))
-    return "-" + text if n < 0 else text
-
-
 def _fp_repr(x: FpNumber) -> str:
     """Render as SIGNIFICAND/2^SHIFT (or a plain integer), unreduced."""
     if x.is_zero:
@@ -153,9 +110,9 @@ def _fp_repr(x: FpNumber) -> str:
     return f"{sign}{x.significand}/2^{shift}"
 
 
-def _error_obj(err: Fraction, digits: int) -> dict:
+def _error_obj(err: Fraction, digits: int, den: str = "") -> dict:
     return {
-        "fraction": f"{_int_str(err.numerator)}/{_int_str(err.denominator)}",
+        "fraction": f"{_int_str(err.numerator)}/{den or _int_str(err.denominator)}",
         "decimal": to_decimal(err, digits),
     }
 
@@ -308,9 +265,9 @@ def _cmd_bounds(args: argparse.Namespace) -> tuple[int, str]:
         rows.append(
             {
                 "n": n,
-                "simple_ulps": n - 1,
-                "psi_ulps": _error_obj(b.psi / b.u, args.digits),
-                "gamma_ulps": _error_obj(b.gamma / b.u, args.digits),
+                "simple_ulps": b.simple,
+                "psi_ulps": _error_obj(b.psi, args.digits),
+                "gamma_ulps": _error_obj(b.gamma, args.digits),
                 "within_n_max": n <= cutoff,
             }
         )
@@ -331,7 +288,8 @@ def _cmd_adversary(args: argparse.Namespace) -> tuple[int, str]:
     report = verify_sequence(factors)
     values = [str(f.to_fraction()) for f in factors]
     err = _error_obj(report.achieved_error, args.digits)
-    gap = _error_obj(report.gap, args.digits)
+    # gap = (n-1) - achieved_error has the error's reduced denominator
+    gap = _error_obj(report.gap, args.digits, err["fraction"].partition("/")[2])
     obj = {
         "p": args.p,
         "n": args.n,

@@ -5,7 +5,8 @@ in ulps, in lowest terms.  ``relative_error`` forms it in integer
 arithmetic and reduces it without a gcd of two big operands (see its
 docstring).  Nothing is ever rounded except the final decimal rendering,
 ``to_decimal``, which truncates toward zero so printed digits are always a
-correct prefix of the exact value.
+correct prefix of the exact value; it and the reports print integers with
+``_int_str``.
 """
 
 from __future__ import annotations
@@ -81,9 +82,52 @@ def to_decimal(value: Fraction, digits: int = 9) -> str:
     sign = "-" if value < 0 else ""
     num, den = abs(value.numerator), value.denominator
     whole, rem = divmod(num, den)
-    frac = rem * 10**digits // den
     with unlimited_int_digits():  # either part may pass the int-to-str limit
-        return f"{sign}{whole}.{frac:0{digits}d}"
+        frac = _int_str(rem * 10**digits // den).zfill(digits)
+        return f"{sign}{_int_str(whole)}.{frac}"
+
+
+# Above this many bits, str() of an int (quadratic in CPython 3.11) loses to
+# the divide-and-conquer conversion of _int_str.
+_STR_DC_BITS = 40_000
+
+
+def _int_str(n: int) -> str:
+    """``str(n)``, in time near-linear in n's length for big n.
+
+    Splits n at a power of two into high and low halves, converts both
+    recursively to ``decimal.Decimal`` and recombines them as hi * 2**w + lo
+    with 2**w held exactly in ``decimal`` (whose multiplication is
+    subquadratic); the method of CPython 3.12's ``_pylong``.
+    """
+    if n.bit_length() <= _STR_DC_BITS:
+        return str(n)
+    import decimal  # only reports this large need it
+
+    powers = {}
+
+    def pow2(w: int) -> decimal.Decimal:
+        if w not in powers:
+            if w <= 512:
+                powers[w] = decimal.Decimal(2) ** w
+            else:
+                powers[w] = pow2(w // 2) * pow2(w - w // 2)
+        return powers[w]
+
+    def convert(m: int, w: int) -> decimal.Decimal:
+        # m >= 0 has at most w bits
+        if w <= 512:
+            return decimal.Decimal(m)
+        half = w // 2
+        hi = m >> half
+        return convert(hi, w - half) * pow2(half) + convert(m - (hi << half), half)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True
+        text = str(convert(abs(n), n.bit_length()))
+    return "-" + text if n < 0 else text
 
 
 class unlimited_int_digits:

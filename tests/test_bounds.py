@@ -1,7 +1,8 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ulplab import (
@@ -11,7 +12,6 @@ from ulplab import (
     check_refined_binary32_bound,
     n_max,
     to_decimal,
-    unit_roundoff,
 )
 
 
@@ -19,18 +19,18 @@ class TestBoundSet:
     def test_gamma_p8_n3(self):
         b = bound_set(8, 3)
         # gamma_2 in ulps is 2/(1 - 2**-7) = 256/127
-        assert b.gamma / b.u == Fraction(256, 127)
-        assert to_decimal(b.gamma / b.u, 4) == "2.0157"
+        assert b.gamma == Fraction(256, 127)
+        assert to_decimal(b.gamma, 4) == "2.0157"
 
     def test_gamma_p9_n11(self):
         b = bound_set(9, 11)
-        assert to_decimal(b.gamma / b.u, 3) == "10.199"
+        assert to_decimal(b.gamma, 3) == "10.199"
 
     def test_n2_degenerate(self):
         b = bound_set(16, 2)
-        assert b.simple == b.u
-        assert b.psi == b.u
-        assert b.gamma == b.u / (1 - b.u)
+        assert b.simple == 1
+        assert b.psi == 1
+        assert b.gamma == 1 / (1 - Fraction(1, 1 << 16))
 
     def test_gamma_undefined(self):
         with pytest.raises(ValueError):
@@ -48,10 +48,30 @@ class TestBoundSet:
         b = bound_set(p, n)
         assert b.simple <= b.psi <= b.gamma
 
-    def test_unit_roundoff(self):
-        assert unit_roundoff(24) == Fraction(1, 1 << 24)
-        with pytest.raises(ValueError):
-            unit_roundoff(1)
+    def test_precision_below_2_refused(self):
+        with pytest.raises(ValueError, match="precision must be >= 2, got 1"):
+            bound_set(1, 3)
+
+    @given(
+        p=st.integers(min_value=2, max_value=120),
+        n=st.integers(min_value=2, max_value=300),
+    )
+    @example(p=2, n=4)  # n = 2**p, the last n with (n-1)u < 1
+    @example(p=3, n=8)
+    @example(p=5, n=32)
+    def test_matches_the_definitions(self, p, n):
+        # Each field equals its relative bound, divided by u, in plain
+        # Fraction arithmetic, and is in lowest terms: psi is built
+        # without the constructor's reduction.
+        n = min(n, 1 << p)
+        k, u = n - 1, Fraction(1, 1 << p)
+        b = bound_set(p, n)
+        assert b.simple == k
+        assert b.psi == ((1 + u) ** k - 1) / u
+        assert b.gamma == k * u / (1 - k * u) / u
+        for f in (b.psi, b.gamma):
+            assert f.denominator > 0
+            assert gcd(f.numerator, f.denominator) == 1
 
 
 class TestNMax:

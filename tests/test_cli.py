@@ -8,12 +8,10 @@ from pathlib import Path
 import pytest
 
 from ulplab.cli import (
-    _STR_DC_BITS,
     GOLDEN_SCENARIOS,
     MAX_PRECISION,
     CliError,
     _fp_repr,
-    _int_str,
     _parse_range,
     _parse_x,
     main,
@@ -21,7 +19,7 @@ from ulplab.cli import (
 )
 from ulplab.adversary import build_sequence
 from ulplab.bounds import bound_set
-from ulplab.exact import unlimited_int_digits
+from ulplab.exact import _STR_DC_BITS, _int_str, unlimited_int_digits
 from ulplab.softfloat import FpNumber
 
 

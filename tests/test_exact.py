@@ -17,6 +17,7 @@ from ulplab import (
     to_decimal,
     verify_sequence,
 )
+from ulplab.exact import _STR_DC_BITS, unlimited_int_digits
 from oracle import oracle_error_ulps, oracle_power
 
 
@@ -183,9 +184,26 @@ class TestToDecimal:
         assert to_decimal(err, 9).startswith("7.05960314")
 
     def test_renders_past_int_str_limit(self, default_int_digit_limit):
-        # Both parts may be longer than Python's default 4300-digit limit.
+        # Both parts may be longer than Python's default 4300-digit limit,
+        # and on either side of _STR_DC_BITS, where the digits stop coming
+        # from str(); they must match plain zero-padded formatting.
         assert to_decimal(Fraction(1, 3), 5000) == "0." + "3" * 5000
         assert to_decimal(Fraction(10**5000), 1) == "1" + "0" * 5000 + ".0"
+        d = _STR_DC_BITS * 3 // 10  # 10**d has about _STR_DC_BITS bits
+        values = [
+            Fraction(1, 3),
+            Fraction(-22, 7),
+            Fraction(1, 7 * 10**60),  # 60 leading zeros in the fraction
+            Fraction(7**13_000, 3),  # whole part just below the threshold
+            Fraction(-(7**15_000), 3),  # and just above it
+        ]
+        for v in values:
+            for digits in (d - 1000, d, d + 1000):  # 36 k, 40 k, 43 k bits
+                whole, rem = divmod(abs(v.numerator), v.denominator)
+                frac = rem * 10**digits // v.denominator
+                with unlimited_int_digits():
+                    want = f"{'-' * (v < 0)}{whole}.{frac:0{digits}d}"
+                assert to_decimal(v, digits) == want
         assert sys.get_int_max_str_digits() == 4300
 
     def test_digits_must_be_positive(self):
