@@ -8,6 +8,8 @@ rational sample points, so no double-precision rounding can leak in.
 
 from __future__ import annotations
 
+import decimal
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -22,6 +24,7 @@ __all__ = [
     "check_property1",
     "check_refined_binary32_bound",
     "n_max",
+    "psi_fractions",
 ]
 
 # Lemma 2 is sampled at these chain lengths, each interval cut into
@@ -70,17 +73,54 @@ def bound_set(p: int, n: int) -> BoundSet:
     )
 
 
+def psi_fractions(p: int, ns: range) -> Iterator[str]:
+    """The text ``"num/den"`` of ``bound_set(p, n).psi`` for each n in ``ns``,
+    a range of consecutive n >= 2.
+
+    (U+1)**k and U**(k-1) (U = 2**p, k = n-1) are carried as exact
+    ``decimal`` integers and multiplied once per row, so a row costs time
+    linear in its length, where ``str()`` of psi's int numerator is
+    quadratic.  A row is formed only when it is asked for, so a caller that
+    validates each n with ``bound_set`` first refuses a bad n before the
+    fold reaches it.  Every operation goes through a private context that
+    traps ``Inexact``; the caller's decimal context is never touched.
+    """
+    if ns.step != 1 or (ns and ns[0] < 2):
+        raise ValueError(f"need a range of consecutive n >= 2, got {ns}")
+    ctx = decimal.Context(
+        prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact]
+    )
+    U = ctx.power(decimal.Decimal(2), p)
+    U1 = ctx.add(U, 1)
+    a = None
+    for n in ns:
+        if a is None:
+            a, den = ctx.power(U1, n - 1), ctx.power(U, n - 2)
+        else:
+            a, den = ctx.multiply(a, U1), top
+        top = ctx.multiply(den, U)  # U**k
+        yield str(ctx.subtract(a, top)) + "/" + str(den)
+
+
 def _iroot(a: int, k: int) -> int:
     """floor(a ** (1/k)) for a >= 0, k >= 1, by integer Newton iteration.
 
     Started above the floor, a step never passes below it (AM-GM) and
     descends while above it, so the first step that does not descend
-    stops exactly at the floor."""
+    stops exactly at the floor.  A big ``a`` starts from the root of its
+    top half, plus one and shifted back: that exceeds the true root and
+    already carries half its bits, so two or three steps finish where a
+    start at a power of two would take dozens."""
     if a < 0 or k < 1:
         raise ValueError("need a >= 0 and k >= 1")
     if a == 0:
         return 0
-    x = 1 << -(-a.bit_length() // k)  # >= true root
+    m = a.bit_length() // (2 * k)
+    if m < 64:
+        x = 1 << -(-a.bit_length() // k)  # >= true root
+    else:
+        # (r+1)**k > a >> km, so (r+1)**k >= (a >> km) + 1 > a / 2**km
+        x = (_iroot(a >> k * m, k) + 1) << m
     while True:
         y = ((k - 1) * x + a // x ** (k - 1)) // k
         if y >= x:

@@ -29,6 +29,7 @@ from .bounds import (
     check_property1,
     check_refined_binary32_bound,
     n_max,
+    psi_fractions,
 )
 from .exact import _int_str, to_decimal, unlimited_int_digits
 from .search import DEFAULT_CHUNK_SIZE, PRECISION_GUARD, exhaustive_max_error, spot_error
@@ -260,13 +261,18 @@ def _cmd_bounds(args: argparse.Namespace) -> tuple[int, str]:
     if ns[0] >= 2 and first_undefined in ns:
         bound_set(args.p, first_undefined)  # raises its error before any row
     rows = []
+    # bound_set accepts each n before the fold forms that row
+    psi_texts = psi_fractions(args.p, ns)
     for n in ns:
         b = bound_set(args.p, n)
         rows.append(
             {
                 "n": n,
                 "simple_ulps": b.simple,
-                "psi_ulps": _error_obj(b.psi, args.digits),
+                "psi_ulps": {
+                    "fraction": next(psi_texts),
+                    "decimal": to_decimal(b.psi, args.digits),
+                },
                 "gamma_ulps": _error_obj(b.gamma, args.digits),
                 "within_n_max": n <= cutoff,
             }

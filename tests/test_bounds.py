@@ -1,8 +1,9 @@
+import decimal
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ulplab import (
@@ -11,8 +12,11 @@ from ulplab import (
     check_property1,
     check_refined_binary32_bound,
     n_max,
+    psi_fractions,
     to_decimal,
 )
+from ulplab.bounds import _iroot
+from ulplab.exact import _STR_DC_BITS, _int_str, unlimited_int_digits
 
 
 class TestBoundSet:
@@ -74,6 +78,73 @@ class TestBoundSet:
             assert gcd(f.numerator, f.denominator) == 1
 
 
+class TestPsiFractions:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        p=st.integers(min_value=5, max_value=200),
+        lo=st.integers(min_value=2, max_value=600),
+        length=st.integers(min_value=1, max_value=40),
+    )
+    @example(p=4096, lo=8, length=5)  # numerators cross _STR_DC_BITS
+    @example(p=65536, lo=2, length=3)
+    @example(p=5, lo=2, length=31)  # up to the last defined n, 2**p
+    def test_matches_bound_set(self, p, lo, length):
+        ns = range(lo, min(lo + length, (1 << p) + 1))
+        with unlimited_int_digits():
+            expected = [
+                f"{_int_str(b.psi.numerator)}/{_int_str(b.psi.denominator)}"
+                for b in (bound_set(p, n) for n in ns)
+            ]
+        assert list(psi_fractions(p, ns)) == expected
+
+    def test_examples_cross_the_rendering_threshold(self):
+        # the big-p examples above reach _int_str's divide-and-conquer path
+        assert bound_set(4096, 8).psi.numerator.bit_length() < _STR_DC_BITS
+        assert bound_set(4096, 12).psi.numerator.bit_length() > _STR_DC_BITS
+        assert bound_set(65536, 2).psi.numerator.bit_length() < _STR_DC_BITS
+        assert bound_set(65536, 3).psi.numerator.bit_length() > _STR_DC_BITS
+
+    def test_first_row_by_hand(self):
+        # n = 2: psi is 1 ulp; n = 3: (2**5 + 1)**2 - 2**10 over 2**5
+        assert list(psi_fractions(5, range(2, 4))) == ["1/1", "65/32"]
+
+    @pytest.mark.parametrize(
+        "ns", [range(1, 5), range(0, 3), range(5, 2, -1), range(2, 9, 2)]
+    )
+    def test_bad_range_refused_at_its_first_row(self, ns):
+        fold = psi_fractions(24, ns)  # nothing is formed yet
+        with pytest.raises(ValueError, match="range of consecutive n >= 2"):
+            next(fold)
+
+    def test_leaves_the_callers_decimal_context_alone(self):
+        ctx = decimal.getcontext()
+
+        def state():
+            return ctx.prec, ctx.Emax, ctx.Emin, dict(ctx.traps), dict(ctx.flags)
+
+        before = state()
+        fold = psi_fractions(24, range(2, 100))
+        next(fold)
+        next(fold)  # suspended between rows
+        assert decimal.getcontext() is ctx and state() == before
+        fold.close()  # abandoned
+        assert decimal.getcontext() is ctx and state() == before
+
+
+class TestIRoot:
+    @given(
+        a=st.integers(min_value=0, max_value=1 << 3000)
+        | st.integers(min_value=0, max_value=1 << 200),
+        k=st.integers(min_value=1, max_value=12),
+    )
+    @example(a=(1 << 1500) ** 3 - 1, k=3)  # one below a perfect power
+    @example(a=(1 << 1500) ** 3, k=3)
+    @example(a=(3**700) ** 4, k=4)
+    def test_is_the_floor_of_the_root(self, a, k):
+        x = _iroot(a, k)
+        assert x**k <= a < (x + 1) ** k
+
+
 class TestNMax:
     @pytest.mark.parametrize(
         "p,expected",
@@ -94,6 +165,11 @@ class TestNMax:
         assert (n * n + (1 << p)) ** 3 <= 1 << (3 * p + 1)
         m = n + 1
         assert (m * m + (1 << p)) ** 3 > 1 << (3 * p + 1)
+
+    @pytest.mark.parametrize("p", [4096, 65536])
+    def test_defining_inequality_at_large_p(self, p):
+        n, bound = n_max(p), 1 << (3 * p + 1)
+        assert (n * n + (1 << p)) ** 3 <= bound < ((n + 1) ** 2 + (1 << p)) ** 3
 
     def test_closed_form_meets_predicate_for_every_p(self):
         # The closed form isqrt(floor(cbrt(2**(3p+1))) - 2**p) must be the

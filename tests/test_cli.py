@@ -261,6 +261,7 @@ class TestBoundsCommand:
             ("2..300", "gamma undefined: (n-1)*u = 1 >= 1"),
             ("258..300", "gamma undefined: (n-1)*u = 257/256 >= 1"),
             ("0..300", "n must be >= 2, got 0"),
+            ("1..300", "n must be >= 2, got 1"),
         ],
     )
     def test_undefined_gamma_refused_before_any_row(self, n, message, monkeypatch):

@@ -29,8 +29,9 @@ GOLDENS = str(Path(__file__).parent.parent / "goldens")
 TMP = "<tmp>"  # replaced by a fresh temporary directory in every example
 
 # Each option maps to (values it parses, malformed values), small fixed lists
-# so that each example runs in milliseconds: p <= 12 for search, n <= 60,
-# --digits <= 40.  Parsed values still include some that the library refuses.
+# so that each example runs in milliseconds: p <= 12 for search, n <= 60
+# (300 for bounds), --digits <= 40.  Parsed values still include some that
+# the library refuses.
 PRECISION = (
     ["2", "4", "5", "8", "24", "53", "113"],
     ["0", "1", "-1", "x", "", "1000000000000"],
@@ -69,7 +70,14 @@ OPTIONS = {
         **MODE,
         **OUTPUT,
     },
-    "bounds": {"--p": PRECISION, "--n": COUNT, **OUTPUT},
+    "bounds": {
+        "--p": PRECISION,
+        # 2..300: a long range through the running psi fold, and at p <= 8
+        # a refusal where gamma becomes undefined; 1..3 and 2..3: rows from
+        # 1, refused before any is formed, and from 2
+        "--n": (["0", "1", "2", "60", "2..300", "1..3", "2..3", "1..60"], COUNT[1]),
+        **OUTPUT,
+    },
     "adversary": {
         "--p": PRECISION,
         "--n": (["1", "2", "3", "10", "60"], ["-1", "0", "2..3", "x", ""]),
