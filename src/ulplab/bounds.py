@@ -8,13 +8,12 @@ rational sample points, so no double-precision rounding can leak in.
 
 from __future__ import annotations
 
-import decimal
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .exact import _coprime_fraction
+from .exact import _EXACT, _coprime_fraction
 
 __all__ = [
     "BoundSet",
@@ -82,24 +81,21 @@ def psi_fractions(p: int, ns: range) -> Iterator[str]:
     linear in its length, where ``str()`` of psi's int numerator is
     quadratic.  A row is formed only when it is asked for, so a caller that
     validates each n with ``bound_set`` first refuses a bad n before the
-    fold reaches it.  Every operation goes through a private context that
-    traps ``Inexact``; the caller's decimal context is never touched.
+    fold reaches it.  Every operation goes through ``exact``'s exact
+    context; the caller's decimal context is never touched.
     """
     if ns.step != 1 or (ns and ns[0] < 2):
         raise ValueError(f"need a range of consecutive n >= 2, got {ns}")
-    ctx = decimal.Context(
-        prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact]
-    )
-    U = ctx.power(decimal.Decimal(2), p)
-    U1 = ctx.add(U, 1)
+    U = _EXACT.power(2, p)
+    U1 = _EXACT.add(U, 1)
     a = None
     for n in ns:
         if a is None:
-            a, den = ctx.power(U1, n - 1), ctx.power(U, n - 2)
+            a, den = _EXACT.power(U1, n - 1), _EXACT.power(U, n - 2)
         else:
-            a, den = ctx.multiply(a, U1), top
-        top = ctx.multiply(den, U)  # U**k
-        yield str(ctx.subtract(a, top)) + "/" + str(den)
+            a, den = _EXACT.multiply(a, U1), top
+        top = _EXACT.multiply(den, U)  # U**k
+        yield str(_EXACT.subtract(a, top)) + "/" + str(den)
 
 
 def _iroot(a: int, k: int) -> int:

@@ -31,7 +31,7 @@ from .bounds import (
     n_max,
     psi_fractions,
 )
-from .exact import _int_str, to_decimal, unlimited_int_digits
+from .exact import _int_str, to_decimal
 from .search import DEFAULT_CHUNK_SIZE, PRECISION_GUARD, exhaustive_max_error, spot_error
 from .softfloat import (
     ExponentRangeError,
@@ -53,6 +53,10 @@ MAX_BOUNDS_N = 10**4
 # fail, so a huge p would exhaust memory; it is refused first.  n_max, the
 # slowest of them, still runs in well under a second at this limit.
 MAX_PRECISION = 1 << 16
+
+# to_decimal builds 10**digits, so its time and memory grow with --digits; a
+# million digits take about a second, and a larger count is refused first.
+MAX_DIGITS = 10**6
 
 
 class CliError(Exception):
@@ -515,19 +519,26 @@ def run(argv: list[str]) -> tuple[int, str]:
     Raises CliError for every bad input, usage errors included, so callers
     can decide how loud to be; ``main`` prints one ``error:`` line, exit 2.
     This is the one place where a ValueError or OSError becomes a CliError.
-    The int<->str digit limit is lifted while the command runs: exact
-    numerators are parsed and printed whatever their length.
+    It is also the one place that changes interpreter-wide state: the
+    int<->str digit limit is lifted while the handler runs, for argv values
+    and JSON integers of any length, and restored however the handler ends.
     """
     args = _PARSER.parse_args(argv)
-    if getattr(args, "digits", 9) < 1:
+    digits = getattr(args, "digits", 9)
+    if digits < 1:
         raise CliError("--digits must be >= 1")
+    if digits > MAX_DIGITS:
+        raise CliError(f"--digits must be <= {MAX_DIGITS}, got {digits}")
     if (getattr(args, "p", None) or 0) > MAX_PRECISION:
         raise CliError(f"--p must be <= {MAX_PRECISION}, got {args.p}")
+    old_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
-        with unlimited_int_digits():
-            return args.handler(args)
+        return args.handler(args)
     except (ValueError, OSError) as exc:
         raise CliError(str(exc)) from None
+    finally:
+        sys.set_int_max_str_digits(old_limit)
 
 
 def main(argv: list[str] | None = None) -> int:

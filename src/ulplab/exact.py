@@ -6,11 +6,12 @@ arithmetic and reduces it without a gcd of two big operands (see its
 docstring).  Nothing is ever rounded except the final decimal rendering,
 ``to_decimal``, which truncates toward zero so printed digits are always a
 correct prefix of the exact value; it and the reports print integers with
-``_int_str``.
+``_int_str``, which needs no change to Python's int<->str digit limit.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 import sys
 from fractions import Fraction
@@ -82,10 +83,17 @@ def to_decimal(value: Fraction, digits: int = 9) -> str:
     sign = "-" if value < 0 else ""
     num, den = abs(value.numerator), value.denominator
     whole, rem = divmod(num, den)
-    with unlimited_int_digits():  # either part may pass the int-to-str limit
-        frac = _int_str(rem * 10**digits // den).zfill(digits)
-        return f"{sign}{_int_str(whole)}.{frac}"
+    frac = _int_str(rem * 10**digits // den).zfill(digits)
+    return f"{sign}{_int_str(whole)}.{frac}"
 
+
+# Exact integer arithmetic in ``decimal``: no digit is ever dropped, and a
+# result that would need rounding raises Inexact.  Callers compute through
+# its methods, so the thread's current decimal context is never read or
+# changed; nothing assigns to it.
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact]
+)
 
 # Above this many bits, str() of an int (quadratic in CPython 3.11) loses to
 # the divide-and-conquer conversion of _int_str.
@@ -93,25 +101,29 @@ _STR_DC_BITS = 40_000
 
 
 def _int_str(n: int) -> str:
-    """``str(n)``, in time near-linear in n's length for big n.
+    """``str(n)``, in time near-linear in n's length for big n, under any
+    int<->str digit limit.
 
-    Splits n at a power of two into high and low halves, converts both
-    recursively to ``decimal.Decimal`` and recombines them as hi * 2**w + lo
-    with 2**w held exactly in ``decimal`` (whose multiplication is
-    subquadratic); the method of CPython 3.12's ``_pylong``.
+    ``str()`` serves n below ``_STR_DC_BITS`` that the current limit admits
+    (a b-bit integer has fewer than 0.302 * b + 1 digits).  Any other n is
+    split at a power of two into high and low halves, both converted
+    recursively to ``Decimal`` and recombined as hi * 2**w + lo in
+    ``_EXACT`` (whose multiplication is subquadratic); the method of
+    CPython 3.12's ``_pylong``.  Neither ``Decimal(int)`` nor
+    ``str(Decimal)`` is subject to the limit.
     """
-    if n.bit_length() <= _STR_DC_BITS:
+    bits = n.bit_length()
+    limit = sys.get_int_max_str_digits()
+    if bits <= _STR_DC_BITS and (not limit or bits <= 3 * limit):
         return str(n)
-    import decimal  # only reports this large need it
-
     powers = {}
 
     def pow2(w: int) -> decimal.Decimal:
         if w not in powers:
             if w <= 512:
-                powers[w] = decimal.Decimal(2) ** w
+                powers[w] = _EXACT.power(2, w)
             else:
-                powers[w] = pow2(w // 2) * pow2(w - w // 2)
+                powers[w] = _EXACT.multiply(pow2(w // 2), pow2(w - w // 2))
         return powers[w]
 
     def convert(m: int, w: int) -> decimal.Decimal:
@@ -120,32 +132,8 @@ def _int_str(n: int) -> str:
             return decimal.Decimal(m)
         half = w // 2
         hi = m >> half
-        return convert(hi, w - half) * pow2(half) + convert(m - (hi << half), half)
+        lo = convert(m - (hi << half), half)
+        return _EXACT.add(_EXACT.multiply(convert(hi, w - half), pow2(half)), lo)
 
-    with decimal.localcontext() as ctx:
-        ctx.prec = decimal.MAX_PREC
-        ctx.Emax = decimal.MAX_EMAX
-        ctx.traps[decimal.Inexact] = True
-        text = str(convert(abs(n), n.bit_length()))
+    text = str(convert(abs(n), bits))
     return "-" + text if n < 0 else text
-
-
-class unlimited_int_digits:
-    """Lift Python's int<->str digit limit inside a ``with`` block, then
-    restore it.
-
-    Exact error numerators run to tens of thousands of digits; reports must
-    print them, and the command line parse them back, whatever the
-    process-wide limit is, without changing that limit for the rest of the
-    process.  A class rather than a generator: it wraps every decimal
-    rendering, and this form costs a third as much per use.
-    """
-
-    __slots__ = ("_old",)
-
-    def __enter__(self) -> None:
-        self._old = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-
-    def __exit__(self, *exc_info) -> None:
-        sys.set_int_max_str_digits(self._old)

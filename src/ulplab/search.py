@@ -398,8 +398,11 @@ def exhaustive_max_error(
         for lo in range(next_k, k_stop, chunk_size)
     ]
 
-    # Never more workers than chunks: the pool forks all of them at once.
+    # Never more workers than chunks or CPUs: the pool forks all of them at
+    # once.  The CPU count is a system call, so a serial scan skips it.
     workers = min(jobs, len(chunks))
+    if workers > 1:
+        workers = min(workers, os.cpu_count() or 1)
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         parts = (pool.map if pool else map)(_scan_chunk, chunks)

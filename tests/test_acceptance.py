@@ -303,7 +303,8 @@ def test_criterion_7_property_suites(table1_scan, table2_scan, crit3_scan):
         assert elapsed < 120
 
 
-def test_criterion_8_parallel_determinism():
+def test_criterion_8_parallel_determinism(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)  # 8 workers on any host
     chunk = str(1 << 10 if not FULL_SCAN else 1 << 20)
     with _report(8, "scan reports byte-identical for 1 and 8 workers"):
         for n, center in [(6, 8473808), (10, 8429278)]:

@@ -16,7 +16,8 @@ from ulplab import (
     to_decimal,
 )
 from ulplab.bounds import _iroot
-from ulplab.exact import _STR_DC_BITS, _int_str, unlimited_int_digits
+from ulplab.exact import _STR_DC_BITS, _int_str
+from conftest import int_digit_limit
 
 
 class TestBoundSet:
@@ -90,11 +91,10 @@ class TestPsiFractions:
     @example(p=5, lo=2, length=31)  # up to the last defined n, 2**p
     def test_matches_bound_set(self, p, lo, length):
         ns = range(lo, min(lo + length, (1 << p) + 1))
-        with unlimited_int_digits():
-            expected = [
-                f"{_int_str(b.psi.numerator)}/{_int_str(b.psi.denominator)}"
-                for b in (bound_set(p, n) for n in ns)
-            ]
+        expected = [
+            f"{_int_str(b.psi.numerator)}/{_int_str(b.psi.denominator)}"
+            for b in (bound_set(p, n) for n in ns)
+        ]
         assert list(psi_fractions(p, ns)) == expected
 
     def test_examples_cross_the_rendering_threshold(self):
@@ -129,6 +129,12 @@ class TestPsiFractions:
         assert decimal.getcontext() is ctx and state() == before
         fold.close()  # abandoned
         assert decimal.getcontext() is ctx and state() == before
+        big = 3**30_000  # past _STR_DC_BITS: the decimal conversion
+        assert big.bit_length() > _STR_DC_BITS
+        text = _int_str(big)
+        assert decimal.getcontext() is ctx and state() == before
+        with int_digit_limit(0):
+            assert text == str(big)
 
 
 class TestIRoot:

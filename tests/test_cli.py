@@ -1,5 +1,5 @@
 import json
-import random
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,6 +9,7 @@ import pytest
 
 from ulplab.cli import (
     GOLDEN_SCENARIOS,
+    MAX_DIGITS,
     MAX_PRECISION,
     CliError,
     _fp_repr,
@@ -19,8 +20,8 @@ from ulplab.cli import (
 )
 from ulplab.adversary import build_sequence
 from ulplab.bounds import bound_set
-from ulplab.exact import _STR_DC_BITS, _int_str, unlimited_int_digits
 from ulplab.softfloat import FpNumber
+from conftest import int_digit_limit
 
 
 def canonical(text: str) -> str:
@@ -125,7 +126,8 @@ class TestSearchCommand:
         with pytest.raises(CliError, match="force"):
             run(["search", "--p", "30", "--n", "3"])
 
-    def test_jobs_and_chunking_do_not_change_bytes(self):
+    def test_jobs_and_chunking_do_not_change_bytes(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)  # 8 workers on any host
         argv = ["search", "--p", "12", "--n", "4..6", "--format", "json",
                 "--chunk-size", "128"]
         _, base = run(argv + ["--jobs", "1"])
@@ -559,6 +561,7 @@ class TestErrorBoundary:
             ["bounds", "--p", "1000000000000", "--n", "2"],
             ["adversary", "--p", "1000000000000", "--n", "3"],
             ["verify", "--p", "1000000000000"],
+            ["spot", "--p", "24", "--x", "1", "--n", "2", "--digits", str(MAX_DIGITS + 1)],
             ["search", "--p", "1000000000000", "--force", "--around", "5", "--n", "2"],
         ],
     )
@@ -572,6 +575,13 @@ class TestErrorBoundary:
     def test_precision_limit_is_inclusive(self):
         code, text = run(["spot", "--p", str(MAX_PRECISION), "--x", "3", "--n", "2"])
         assert (code, text.splitlines()[1].split()[:2]) == (0, ["2", "0.000000000"])
+
+    def test_digits_limit_is_inclusive(self):
+        code, text = run(["spot", "--p", "24", "--x", "8473808/2^23", "--n", "6",
+                          "--digits", str(MAX_DIGITS)])
+        decimal = text.splitlines()[1].split()[1]
+        assert code == 0 and len(decimal) == 2 + MAX_DIGITS
+        assert decimal.startswith("4.328005618")
 
     @pytest.mark.parametrize(
         "argv,err",
@@ -716,7 +726,7 @@ class TestBigPrecisionOutput:
                           "--format", "json"])
         assert code == 0
         assert sys.get_int_max_str_digits() == 4300
-        with unlimited_int_digits():
+        with int_digit_limit(0):
             assert _parse_x(json.loads(text)["x"], 15000).to_fraction() == Fraction(3, 2)
 
     def test_spot_reads_back_its_own_x(self, default_int_digit_limit):
@@ -733,32 +743,9 @@ class TestBigPrecisionOutput:
         assert sys.get_int_max_str_digits() == 4300
         factors = json.loads(text)["factors"]
         seq = build_sequence(15000, 3)
-        with unlimited_int_digits():
+        with int_digit_limit(0):
             assert [Fraction(f) for f in factors] == [
                 f.to_fraction() for f in seq
             ]
         assert max(len(f) for f in factors) > 4300
 
-
-class TestIntStr:
-    # Above _STR_DC_BITS integers are converted by splitting at powers of
-    # two; every digit must match str(), at the split sizes and across them.
-    @staticmethod
-    def cases():
-        rng = random.Random(10)
-        k = _STR_DC_BITS * 3 // 10  # 10**k has about _STR_DC_BITS bits
-        yield from (10**j + d for j in (k - 5, k, k + 5, 3 * k) for d in (-1, 0, 1))
-        for bits in (_STR_DC_BITS - 1, _STR_DC_BITS, _STR_DC_BITS + 1, 3 * _STR_DC_BITS):
-            yield from ((1 << bits) + d for d in (-1, 0, 1))
-            yield rng.getrandbits(bits) | 1 << (bits - 1)
-        # long runs of zero bits and of zero digits around a split point
-        yield (1 << (2 * _STR_DC_BITS)) + 12345
-        yield (rng.getrandbits(1000) << 60_000) + rng.getrandbits(500)
-        yield 7 * 10**30_000 + 3
-        yield 0
-
-    def test_matches_str_across_the_threshold(self):
-        with unlimited_int_digits():
-            for n in self.cases():
-                assert _int_str(n) == str(n)
-                assert _int_str(-n) == str(-n)

@@ -1,5 +1,7 @@
 import math
+import random
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -17,7 +19,8 @@ from ulplab import (
     to_decimal,
     verify_sequence,
 )
-from ulplab.exact import _STR_DC_BITS, unlimited_int_digits
+from ulplab.exact import _STR_DC_BITS, _int_str
+from conftest import int_digit_limit
 from oracle import oracle_error_ulps, oracle_power
 
 
@@ -201,7 +204,7 @@ class TestToDecimal:
             for digits in (d - 1000, d, d + 1000):  # 36 k, 40 k, 43 k bits
                 whole, rem = divmod(abs(v.numerator), v.denominator)
                 frac = rem * 10**digits // v.denominator
-                with unlimited_int_digits():
+                with int_digit_limit(0):
                     want = f"{'-' * (v < 0)}{whole}.{frac:0{digits}d}"
                 assert to_decimal(v, digits) == want
         assert sys.get_int_max_str_digits() == 4300
@@ -226,6 +229,55 @@ class TestToDecimal:
         v = Fraction(num, den)
         shown = Fraction(int(to_decimal(v, 12).replace(".", "")), 10**12)
         assert shown <= v < shown + Fraction(1, 10**12)
+
+    def test_threads_leave_the_digit_limit_alone(self, default_int_digit_limit):
+        # A whole part of 30 000 bits is past the limit; rendering it while
+        # other threads do the same must not change the limit, even when
+        # the interpreter switches threads every microsecond.
+        value = Fraction((1 << 30_000) + 1, 3)
+        want = to_decimal(value)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                got = list(pool.map(to_decimal, [value] * 40))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [want] * 40
+        assert sys.get_int_max_str_digits() == 4300
+
+
+class TestIntStr:
+    # str() serves integers below _STR_DC_BITS that the int<->str digit
+    # limit admits (at most 3 bits per allowed digit); the rest are
+    # converted by splitting at powers of two.  Every digit must match
+    # str() at the split sizes and across both thresholds, whatever the
+    # limit.
+    @staticmethod
+    def cases(limit):
+        rng = random.Random(10)
+        k = _STR_DC_BITS * 3 // 10  # 10**k has about _STR_DC_BITS bits
+        powers = (k - 5, k, k + 5, 3 * k) + ((limit - 1, limit) if limit else ())
+        yield from (10**j + d for j in powers for d in (-1, 0, 1))
+        edges = (_STR_DC_BITS, 3 * limit) if limit else (_STR_DC_BITS,)
+        for bits in (*(e + d for e in edges for d in (-1, 0, 1)), 3 * _STR_DC_BITS):
+            yield from ((1 << bits) + d for d in (-1, 0, 1))
+            yield rng.getrandbits(bits) | 1 << (bits - 1)
+        # long runs of zero bits and of zero digits around a split point
+        yield (1 << (2 * _STR_DC_BITS)) + 12345
+        yield (rng.getrandbits(1000) << 60_000) + rng.getrandbits(500)
+        yield 7 * 10**30_000 + 3
+        yield 0
+
+    @pytest.mark.parametrize("limit", [0, 640, 4300])
+    def test_matches_str_across_the_threshold(self, limit):
+        cases = [s * n for n in self.cases(limit) for s in (1, -1)]
+        with int_digit_limit(0):
+            want = [str(n) for n in cases]
+        with int_digit_limit(limit):
+            got = [_int_str(n) for n in cases]
+            assert sys.get_int_max_str_digits() == limit
+        assert got == want
 
 
 class TestExactArithmeticAxioms:

@@ -23,7 +23,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ulplab
-from ulplab.cli import main, run
+from ulplab.cli import MAX_DIGITS, main, run
 
 GOLDENS = str(Path(__file__).parent.parent / "goldens")
 TMP = "<tmp>"  # replaced by a fresh temporary directory in every example
@@ -39,7 +39,7 @@ PRECISION = (
 COUNT = (["0", "1", "2", "6", "60", "2..5", "1..60"], ["-2", "5..2", "3..", "..", "x", ""])
 OUTPUT = {
     "--format": (["table", "csv", "json"], ["xml", ""]),
-    "--digits": (["1", "9", "40"], ["0", "-1", "x"]),
+    "--digits": (["1", "9", "40"], ["0", "-1", "x", str(MAX_DIGITS + 1)]),
 }
 MODE = {"--mode": (["even", "away"], ["up", ""])}
 FLAG = ([], [])

@@ -588,12 +588,21 @@ class TestPool:
     @pytest.mark.parametrize("jobs,chunk_size,workers", [
         (64, 512, 2), (3, 512, 2), (2, 256, 2), (64, 256, 4), (3, 256, 3),
     ])
-    def test_workers_bounded_by_chunk_count(self, jobs, chunk_size, workers):
+    def test_workers_bounded_by_chunk_count(self, jobs, chunk_size, workers, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
         report = exhaustive_max_error(11, 5, jobs=jobs, chunk_size=chunk_size)
         (pool,) = POOLS
         assert pool.max_workers == workers
         assert len(pool.ran) == 1024 // chunk_size
         assert report == exhaustive_max_error(11, 5, chunk_size=chunk_size)
+
+    @pytest.mark.parametrize("cpus,workers", [(3, 3), (1, None), (None, None)])
+    def test_workers_bounded_by_cpu_count(self, cpus, workers, monkeypatch):
+        # 4 chunks; an unknown CPU count allows one worker, which is no pool
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        report = exhaustive_max_error(11, 5, jobs=64, chunk_size=256)
+        assert [pool.max_workers for pool in POOLS] == ([workers] if workers else [])
+        assert report == exhaustive_max_error(11, 5, chunk_size=256)
 
     @pytest.mark.parametrize("jobs", [2, 64])
     def test_one_chunk_starts_no_pool(self, jobs):
