@@ -44,10 +44,6 @@ MIN_PRECISION = 8  # below this the binade is too coarse for the drift to set up
 class SequenceConstructionError(ValueError):
     """A partial product left the window the construction relies on."""
 
-    def __init__(self, step: int, message: str) -> None:
-        super().__init__(f"step {step}: {message}")
-        self.step = step
-
 
 @dataclass(frozen=True)
 class SequenceReport:
@@ -79,12 +75,11 @@ def _exact_product(factors: tuple[FpNumber, ...]) -> tuple[int, int]:
 
 
 def _grid_factor(k: int, p: int) -> FpNumber:
-    """The float 1 + k*2**(-p+1), which must be exactly representable."""
-    value = Fraction((1 << (p - 1)) + k, 1 << (p - 1))
-    f = round_nearest(value, p)
-    if f.to_fraction() != value:
-        raise ValueError(f"1 + {k}*2**(-{p}+1) is not a precision-{p} float")
-    return f
+    """The float 1 + k*2**(-p+1), for -2**(p-1) < k < 2**(p-1): the integer
+    2**(p-1) + k is positive and below 2**p, so it rounds exactly, and the
+    result is moved down p-1 binades."""
+    f = round_nearest((1 << (p - 1)) + k, p)
+    return FpNumber(f.sign, f.significand, f.exponent - p + 1, p)
 
 
 def build_sequence(p: int, n: int) -> tuple[FpNumber, ...]:
@@ -107,20 +102,17 @@ def build_sequence(p: int, n: int) -> tuple[FpNumber, ...]:
     for i in range(2, n):
         if cur.exponent != 0:
             raise SequenceConstructionError(
-                i, f"partial product left [1, 2): {cur.to_fraction()}"
+                f"step {i}: partial product left [1, 2): {cur.to_fraction()}"
             )
         g = cur.significand - (1 << (p - 1))
         if g < 1:
-            raise SequenceConstructionError(i, "partial product fell back to 1")
+            raise SequenceConstructionError(f"step {i}: partial product fell back to 1")
         if g * g <= quarter:
             # ceil(2**(p-2)/g - 1), exactly
             k = -((g - quarter) // g)
         else:
             k = -(quarter // g + 1)
-        try:
-            nxt = _grid_factor(k, p)
-        except ValueError as exc:
-            raise SequenceConstructionError(i, str(exc)) from exc
+        nxt = _grid_factor(k, p)
         factors.append(nxt)
         cur = fp_mul(cur, nxt, mode)
     return tuple(factors)

@@ -56,7 +56,14 @@ MAX_PRECISION = 1 << 16
 
 # to_decimal builds 10**digits, so its time and memory grow with --digits; a
 # million digits take about a second, and a larger count is refused first.
+# spot, bounds and search are held to it over a whole command: rows x --digits.
 MAX_DIGITS = 10**6
+
+# The largest exact value a command builds has about p*n bits: the product of
+# an adversary's n factors, or the psi numerator of a bounds table's last row.
+# At this limit `bounds --p 65536 --n 2..65` takes about 10 s and
+# `adversary --p 65536 --n 64` 6 s; a larger value is refused before any work.
+MAX_EXACT_BITS = 1 << 22
 
 
 class CliError(Exception):
@@ -74,6 +81,26 @@ def _parse_range(text: str) -> range:
     if stop < start:
         raise CliError(f"empty range {text!r}")
     return range(start, stop + 1)
+
+
+def _parse_rows(text: str, digits: int) -> range:
+    """``_parse_range`` for a command that renders a --digits decimal per n,
+    refused when all its rows together would exceed MAX_DIGITS digits."""
+    ns = _parse_range(text)
+    total = (ns.stop - ns.start) * digits  # len() overflows on a huge range
+    if total > MAX_DIGITS:
+        raise CliError(
+            f"--n {text} renders {total} digits at --digits {digits}; "
+            f"the limit is {MAX_DIGITS}"
+        )
+    return ns
+
+
+def _check_exact_bits(bits: int, value: str) -> None:
+    if bits > MAX_EXACT_BITS:
+        raise CliError(
+            f"{value} would have {bits} bits; the limit is {MAX_EXACT_BITS}"
+        )
 
 
 def _parse_x(text: str, p: int) -> FpNumber:
@@ -169,7 +196,7 @@ _SEARCH_COLUMNS = (
 
 def _cmd_search(args: argparse.Namespace) -> tuple[int, str]:
     mode = RoundingMode(args.mode)
-    ns = _parse_range(args.n)
+    ns = _parse_rows(args.n, args.digits)
     if args.checkpoint and len(ns) > 1:
         raise CliError(
             f"--checkpoint holds the state of a single n; got --n {args.n}"
@@ -236,7 +263,7 @@ def _cmd_spot(args: argparse.Namespace) -> tuple[int, str]:
     x = _parse_x(args.x, args.p)
     rows = [
         {"n": n, "error": _error_obj(spot_error(x, n, mode), args.digits)}
-        for n in _parse_range(args.n)
+        for n in _parse_rows(args.n, args.digits)
     ]
     obj = {
         "p": args.p,
@@ -257,9 +284,10 @@ _BOUNDS_COLUMNS = (
 
 
 def _cmd_bounds(args: argparse.Namespace) -> tuple[int, str]:
-    ns = _parse_range(args.n)
+    ns = _parse_rows(args.n, args.digits)
     if ns[-1] > MAX_BOUNDS_N:
         raise CliError(f"bounds tables are limited to n <= {MAX_BOUNDS_N}")
+    _check_exact_bits(args.p * (ns[-1] - 1), f"psi's numerator at n = {ns[-1]}")
     cutoff = n_max(args.p)  # refuses p < 5, so the shift below is safe
     first_undefined = max(ns[0], (1 << args.p) + 1)  # least n with (n-1)u >= 1
     if ns[0] >= 2 and first_undefined in ns:
@@ -294,12 +322,14 @@ _FIELD_VALUE_COLUMNS = (("field", itemgetter(0)), ("value", itemgetter(1)))
 
 
 def _cmd_adversary(args: argparse.Namespace) -> tuple[int, str]:
+    _check_exact_bits(args.p * args.n, f"the product of {args.n} factors")
     factors = build_sequence(args.p, args.n)
     report = verify_sequence(factors)
     values = [str(f.to_fraction()) for f in factors]
-    err = _error_obj(report.achieved_error, args.digits)
     # gap = (n-1) - achieved_error has the error's reduced denominator
-    gap = _error_obj(report.gap, args.digits, err["fraction"].partition("/")[2])
+    den = _int_str(report.achieved_error.denominator)
+    err = _error_obj(report.achieved_error, args.digits, den)
+    gap = _error_obj(report.gap, args.digits, den)
     obj = {
         "p": args.p,
         "n": args.n,
@@ -334,6 +364,8 @@ _VERIFY_COLUMNS = (
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     ns = _parse_range(args.n)  # refused even when --p is absent
+    if args.p is not None:
+        _check_exact_bits(args.p * ns[-1], f"the product of {ns[-1]} factors")
     checks = [
         {"name": c.name, "passed": c.passed, "checked": c.checked}
         for c in (check_property1(), check_lemma2(), check_refined_binary32_bound())

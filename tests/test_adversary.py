@@ -3,16 +3,23 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from ulplab import (
     FpNumber,
     RoundingMode,
+    round_nearest,
     build_sequence,
     iterated_product,
     to_decimal,
     verify_sequence,
 )
-from ulplab.adversary import SequenceConstructionError, _exact_product
+from ulplab.adversary import (
+    SequenceConstructionError,
+    _exact_product,
+    _grid_factor,
+)
 from ulplab.algorithms import DOWN
 from oracle import oracle_product
 
@@ -55,6 +62,12 @@ class TestBuildSequence:
         with pytest.raises(ValueError):
             build_sequence(24, 1)
 
+    def test_p9_falls_back_to_1(self):
+        with pytest.raises(SequenceConstructionError) as info:
+            build_sequence(9, 40)
+        assert isinstance(info.value, ValueError)
+        assert str(info.value) == "step 28: partial product fell back to 1"
+
     def test_partials_stay_in_unit_binade(self):
         trace = iterated_product(build_sequence(24, 60))
         for partial in trace.partials[1:]:
@@ -83,6 +96,27 @@ class TestBuildSequence:
         assert strings[0] == "4097/4096"
         rebuilt = [Fraction(s) for s in strings]
         assert rebuilt == [f.to_fraction() for f in factors]
+
+
+@st.composite
+def grid_steps(draw):
+    p = draw(st.integers(8, 200))
+    half = 1 << (p - 1)
+    return p, draw(st.integers(-half + 1, half - 1))
+
+
+class TestGridFactor:
+    @given(grid_steps())
+    @example((8, -127))  # the least factor, 1/128: exponent -7
+    @example((8, 127))  # the greatest, 255/128
+    @example((24, -1))  # just below 1: exponent -1
+    @example((24, 0))
+    def test_is_the_rounded_grid_value(self, pk):
+        p, k = pk
+        value = 1 + Fraction(k, 1 << (p - 1))
+        f = _grid_factor(k, p)
+        assert f.to_fraction() == value
+        assert f == round_nearest(value, p)
 
 
 class TestLinearity:

@@ -7,9 +7,11 @@ from pathlib import Path
 
 import pytest
 
+from ulplab import cli
 from ulplab.cli import (
     GOLDEN_SCENARIOS,
     MAX_DIGITS,
+    MAX_EXACT_BITS,
     MAX_PRECISION,
     CliError,
     _fp_repr,
@@ -542,6 +544,21 @@ class TestMainEntry:
         assert json.loads(proc.stdout)["n_max"] == 2088
 
 
+# Commands over MAX_DIGITS, counted over all their rows together, or over
+# MAX_EXACT_BITS, which bounds the largest exact value a command builds.
+OVER_LIMITS = [
+    ["spot", "--p", "24", "--x", "3/2", "--n", "2..3", "--digits", "500001"],
+    ["bounds", "--p", "24", "--n", "2..11", "--digits", str(MAX_DIGITS)],
+    ["search", "--p", "8", "--n", "3..4", "--digits", str(MAX_DIGITS)],
+    ["spot", "--p", "24", "--x", "3/2", "--n", "1..99999999999999999999"],
+    ["bounds", "--p", "65536", "--n", "2..66"],
+    ["bounds", "--p", "65536", "--n", "2..10000"],
+    ["adversary", "--p", "65536", "--n", "65"],
+    ["adversary", "--p", "24", "--n", "100000000"],
+    ["verify", "--p", "65536", "--n", "2..65"],
+]
+
+
 class TestErrorBoundary:
     # Library ValueErrors become one "error:" line and exit status 2, and so
     # do an unused but malformed verify --n and a p too large to allocate.
@@ -563,6 +580,7 @@ class TestErrorBoundary:
             ["verify", "--p", "1000000000000"],
             ["spot", "--p", "24", "--x", "1", "--n", "2", "--digits", str(MAX_DIGITS + 1)],
             ["search", "--p", "1000000000000", "--force", "--around", "5", "--n", "2"],
+            *OVER_LIMITS,
         ],
     )
     def test_library_error_exits_2(self, argv, capsys):
@@ -582,6 +600,43 @@ class TestErrorBoundary:
         decimal = text.splitlines()[1].split()[1]
         assert code == 0 and len(decimal) == 2 + MAX_DIGITS
         assert decimal.startswith("4.328005618")
+
+    def test_digits_limit_holds_for_all_rows_together(self):
+        digits = MAX_DIGITS // 2
+        code, text = run(["spot", "--p", "24", "--x", "3/2", "--n", "2..3",
+                          "--digits", str(digits)])
+        rows = text.splitlines()[1:]
+        assert code == 0 and [len(r.split()[1]) for r in rows] == [2 + digits] * 2
+        with pytest.raises(CliError, match="renders 1000002 digits"):
+            run(["spot", "--p", "24", "--x", "3/2", "--n", "2..3",
+                 "--digits", str(digits + 1)])
+
+    def test_bounds_bits_limit_is_inclusive(self):
+        # the last row's psi numerator has p*(n-1) bits
+        assert 65536 * 64 == MAX_EXACT_BITS
+        assert run(["bounds", "--p", "65536", "--n", "65"])[0] == 0
+        with pytest.raises(CliError, match=f"4259840 bits; the limit is {MAX_EXACT_BITS}"):
+            run(["bounds", "--p", "65536", "--n", "65..66"])
+
+    @pytest.mark.parametrize("command", ["adversary", "verify"])
+    def test_product_bits_limit_is_inclusive(self, command, monkeypatch):
+        # p*n bits for the longest sequence; the real limit takes seconds
+        monkeypatch.setattr(cli, "MAX_EXACT_BITS", 24 * 40)
+        n = "40" if command == "adversary" else "2..40"
+        assert run([command, "--p", "24", "--n", n])[0] == 0
+        with pytest.raises(CliError, match="the product of 41 factors would have 984 bits"):
+            run([command, "--p", "24", "--n", "41" if command == "adversary" else "2..41"])
+
+    @pytest.mark.parametrize("argv", OVER_LIMITS)
+    def test_limits_refuse_before_any_work(self, argv, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work began before the refusal")
+
+        for name in ("spot_error", "exhaustive_max_error", "bound_set", "n_max",
+                     "psi_fractions", "build_sequence", "check_property1"):
+            monkeypatch.setattr(cli, name, forbidden)
+        with pytest.raises(CliError, match="the limit is"):
+            run(argv)
 
     @pytest.mark.parametrize(
         "argv,err",
