@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator, Sequence
 
 from .algorithms import DOWN, iterated_product, step_directions
 from .exact import relative_error
@@ -35,6 +36,7 @@ __all__ = [
     "SequenceConstructionError",
     "SequenceReport",
     "build_sequence",
+    "verify_prefixes",
     "verify_sequence",
 ]
 
@@ -126,16 +128,30 @@ def verify_sequence(factors: tuple[FpNumber, ...]) -> SequenceReport:
     n-1 ties-to-even multiplications rounded downward and the exact error
     of the product is strictly below n-1 ulps.
     """
-    trace = iterated_product(factors, RoundingMode.TIES_EVEN)
+    return next(verify_prefixes(factors, (len(factors),)))
+
+
+def verify_prefixes(
+    factors: tuple[FpNumber, ...], ns: Sequence[int]
+) -> Iterator[SequenceReport]:
+    """Yield ``verify_sequence(factors[:n])`` for each n of the ascending
+    ``ns``, from one rounded fold and one running exact product, so that a
+    range costs a linear-time ``relative_error`` per prefix and no more."""
+    trace = iterated_product(factors[: ns[-1]], RoundingMode.TIES_EVEN)
     directions = step_directions(trace)
-    all_down = all(d == DOWN for d in directions)
-    achieved = relative_error(trace.final, *_exact_product(factors))
-    bound = len(factors) - 1
-    return SequenceReport(
-        directions=directions,
-        all_down=all_down,
-        achieved_error=achieved,
-        error_bound=bound,
-        gap=bound - achieved,
-        passed=all_down and achieved < bound,
-    )
+    downs = next((i for i, d in enumerate(directions) if d != DOWN), len(directions))
+    N, shift, done = 1, 0, 0
+    for n in ns:
+        if not done < n <= len(trace.partials):
+            raise ValueError(f"prefix {n} is not in {done + 1}..{len(factors)}")
+        new_N, new_shift = _exact_product(factors[done:n])
+        N, shift, done = N * new_N, shift + new_shift, n
+        achieved = relative_error(trace.partials[n - 1], N, shift)
+        yield SequenceReport(
+            directions=directions[: n - 1],
+            all_down=n - 1 <= downs,
+            achieved_error=achieved,
+            error_bound=n - 1,
+            gap=n - 1 - achieved,
+            passed=n - 1 <= downs and achieved < n - 1,
+        )

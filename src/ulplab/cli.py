@@ -22,7 +22,7 @@ import sys
 from fractions import Fraction
 from operator import itemgetter
 
-from .adversary import build_sequence, verify_sequence
+from .adversary import build_sequence, verify_prefixes, verify_sequence
 from .bounds import (
     bound_set,
     check_lemma2,
@@ -45,25 +45,19 @@ __all__ = ["GOLDEN_SCENARIOS", "main", "run"]
 
 SCHEMA_VERSION = 1
 
-# Rows beyond this make the psi/gamma table columns explode (their exact
-# numerators grow with n*p bits), so refuse early with a clear message.
-MAX_BOUNDS_N = 10**4
-
 # Every command that takes --p builds p-bit numbers before anything else can
 # fail, so a huge p would exhaust memory; it is refused first.  n_max, the
 # slowest of them, still runs in well under a second at this limit.
 MAX_PRECISION = 1 << 16
 
-# to_decimal builds 10**digits, so its time and memory grow with --digits; a
-# million digits take about a second, and a larger count is refused first.
-# spot, bounds and search are held to it over a whole command: rows x --digits.
+# Sizes _budget refuses before any work.  to_decimal builds 10**digits: a
+# million digits, summed over a command's rows, take about a second.  Row n
+# builds about p*n bits (x**n, n factors' product, psi's numerator): at the
+# limit on one row `bounds --p 65536 --n 2..65` takes about 10 s, at the
+# limit on all rows `spot --p 24 --n 2..2364` about 12 s.
 MAX_DIGITS = 10**6
-
-# The largest exact value a command builds has about p*n bits: the product of
-# an adversary's n factors, or the psi numerator of a bounds table's last row.
-# At this limit `bounds --p 65536 --n 2..65` takes about 10 s and
-# `adversary --p 65536 --n 64` 6 s; a larger value is refused before any work.
 MAX_EXACT_BITS = 1 << 22
+MAX_SUMMED_BITS = 1 << 26
 
 
 class CliError(Exception):
@@ -83,24 +77,19 @@ def _parse_range(text: str) -> range:
     return range(start, stop + 1)
 
 
-def _parse_rows(text: str, digits: int) -> range:
-    """``_parse_range`` for a command that renders a --digits decimal per n,
-    refused when all its rows together would exceed MAX_DIGITS digits."""
-    ns = _parse_range(text)
-    total = (ns.stop - ns.start) * digits  # len() overflows on a huge range
-    if total > MAX_DIGITS:
-        raise CliError(
-            f"--n {text} renders {total} digits at --digits {digits}; "
-            f"the limit is {MAX_DIGITS}"
-        )
-    return ns
-
-
-def _check_exact_bits(bits: int, value: str) -> None:
-    if bits > MAX_EXACT_BITS:
-        raise CliError(
-            f"{value} would have {bits} bits; the limit is {MAX_EXACT_BITS}"
-        )
+def _budget(args: argparse.Namespace, ns: range, value: str, lag: int = 0) -> None:
+    """Refuse rows n in ``ns`` rendering over MAX_DIGITS digits in all, or of
+    p*(n - lag) bits each over MAX_EXACT_BITS (the last row, ``value`` with
+    {} for its n) or MAX_SUMMED_BITS in all.  No len(): it overflows."""
+    rows, last, digits = ns.stop - ns.start, ns.stop - 1, getattr(args, "digits", 0)
+    for size, limit, text in (
+        (rows * digits, MAX_DIGITS, f"--n {args.n} renders {{}} digits at --digits {digits}"),
+        (args.p * (last - lag), MAX_EXACT_BITS, value.format(last) + " would have {} bits"),
+        (args.p * (ns.start + last - 2 * lag) * rows // 2, MAX_SUMMED_BITS,
+         f"--n {args.n} would build {{}} bits over its rows"),
+    ):
+        if size > limit:
+            raise CliError(f"{text.format(size)}; the limit is {limit}")
 
 
 def _parse_x(text: str, p: int) -> FpNumber:
@@ -196,7 +185,8 @@ _SEARCH_COLUMNS = (
 
 def _cmd_search(args: argparse.Namespace) -> tuple[int, str]:
     mode = RoundingMode(args.mode)
-    ns = _parse_rows(args.n, args.digits)
+    ns = _parse_range(args.n)
+    _budget(args, ns, "x^{}")
     if args.checkpoint and len(ns) > 1:
         raise CliError(
             f"--checkpoint holds the state of a single n; got --n {args.n}"
@@ -261,9 +251,10 @@ _SPOT_COLUMNS = (
 def _cmd_spot(args: argparse.Namespace) -> tuple[int, str]:
     mode = RoundingMode(args.mode)
     x = _parse_x(args.x, args.p)
+    ns = _parse_range(args.n)
+    _budget(args, ns, "x^{}")
     rows = [
-        {"n": n, "error": _error_obj(spot_error(x, n, mode), args.digits)}
-        for n in _parse_rows(args.n, args.digits)
+        {"n": n, "error": _error_obj(spot_error(x, n, mode), args.digits)} for n in ns
     ]
     obj = {
         "p": args.p,
@@ -284,10 +275,8 @@ _BOUNDS_COLUMNS = (
 
 
 def _cmd_bounds(args: argparse.Namespace) -> tuple[int, str]:
-    ns = _parse_rows(args.n, args.digits)
-    if ns[-1] > MAX_BOUNDS_N:
-        raise CliError(f"bounds tables are limited to n <= {MAX_BOUNDS_N}")
-    _check_exact_bits(args.p * (ns[-1] - 1), f"psi's numerator at n = {ns[-1]}")
+    ns = _parse_range(args.n)
+    _budget(args, ns, "psi's numerator at n = {}", lag=1)
     cutoff = n_max(args.p)  # refuses p < 5, so the shift below is safe
     first_undefined = max(ns[0], (1 << args.p) + 1)  # least n with (n-1)u >= 1
     if ns[0] >= 2 and first_undefined in ns:
@@ -322,7 +311,7 @@ _FIELD_VALUE_COLUMNS = (("field", itemgetter(0)), ("value", itemgetter(1)))
 
 
 def _cmd_adversary(args: argparse.Namespace) -> tuple[int, str]:
-    _check_exact_bits(args.p * args.n, f"the product of {args.n} factors")
+    _budget(args, range(args.n, args.n + 1), "the product of {} factors")
     factors = build_sequence(args.p, args.n)
     report = verify_sequence(factors)
     values = [str(f.to_fraction()) for f in factors]
@@ -365,14 +354,15 @@ _VERIFY_COLUMNS = (
 def _cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     ns = _parse_range(args.n)  # refused even when --p is absent
     if args.p is not None:
-        _check_exact_bits(args.p * ns[-1], f"the product of {ns[-1]} factors")
+        _budget(args, ns, "the product of {} factors")
     checks = [
         {"name": c.name, "passed": c.passed, "checked": c.checked}
         for c in (check_property1(), check_lemma2(), check_refined_binary32_bound())
     ]
     if args.p is not None:
-        for n in ns:
-            report = verify_sequence(build_sequence(args.p, n))
+        # one sequence's prefixes; a range from below 2 fails as its first n
+        factors = build_sequence(args.p, ns[-1] if ns[0] >= 2 else ns[0])
+        for n, report in zip(ns, verify_prefixes(factors, ns)):
             checks.append(
                 {
                     "name": f"sequence p={args.p} n={n}",
@@ -559,8 +549,6 @@ def run(argv: list[str]) -> tuple[int, str]:
     digits = getattr(args, "digits", 9)
     if digits < 1:
         raise CliError("--digits must be >= 1")
-    if digits > MAX_DIGITS:
-        raise CliError(f"--digits must be <= {MAX_DIGITS}, got {digits}")
     if (getattr(args, "p", None) or 0) > MAX_PRECISION:
         raise CliError(f"--p must be <= {MAX_PRECISION}, got {args.p}")
     old_limit = sys.get_int_max_str_digits()

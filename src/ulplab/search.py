@@ -77,7 +77,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .algorithms import naive_power
-from .exact import relative_error
+from .exact import _lowest_terms, relative_error
 from .softfloat import FpNumber, RoundingMode, _check_precision
 
 __all__ = ["SearchReport", "exhaustive_max_error", "spot_error"]
@@ -430,7 +430,7 @@ def exhaustive_max_error(
     argmax = FpNumber(1, (1 << (p - 1)) + best_k, 0, p)
     return SearchReport(
         n=n,
-        max_error=Fraction(num, den),
+        max_error=_lowest_terms(num, den, argmax.significand),
         argmax_x=argmax,
         scanned=k_stop - k_start,
         violations=violations,

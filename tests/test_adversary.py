@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from ulplab.adversary import (
     SequenceConstructionError,
     _exact_product,
     _grid_factor,
+    verify_prefixes,
 )
 from ulplab.algorithms import DOWN
 from oracle import oracle_product
@@ -199,6 +201,46 @@ class TestVerifySequence:
                 prod *= f.to_fraction()
             num, shift = _exact_product(fs)
             assert num * Fraction(2) ** shift == prod
+
+
+@st.composite
+def prefix_ranges(draw):
+    p = draw(st.integers(8, 113))
+    b = draw(st.integers(2, 80))
+    return p, draw(st.integers(2, b)), b
+
+
+class TestVerifyPrefixes:
+    @given(prefix_ranges())
+    @example((9, 10, 40))  # the p = 9 construction fails at step 28
+    @example((9, 2, 28))  # its longest sequence
+    @example((8, 2, 2))
+    def test_fold_equals_each_sequence_verified_alone(self, pab):
+        p, a, b = pab
+        alone = []
+        for n in range(a, b + 1):
+            try:
+                alone.append(verify_sequence(build_sequence(p, n)))
+            except SequenceConstructionError as exc:
+                # the one build of the longest sequence fails the same way
+                with pytest.raises(SequenceConstructionError, match=re.escape(str(exc))):
+                    build_sequence(p, b)
+                return
+        factors = build_sequence(p, b)
+        for n in range(a, b + 1):
+            assert factors[:n] == build_sequence(p, n)
+        assert list(verify_prefixes(factors, range(a, b + 1))) == alone
+
+    def test_any_ascending_prefixes(self):
+        factors = build_sequence(24, 50)
+        ns = [1, 2, 17, 18, 50]
+        want = [verify_sequence(factors[:n]) for n in ns]
+        assert list(verify_prefixes(factors, ns)) == want
+
+    @pytest.mark.parametrize("ns", [[0], [3, 3], [5, 4], [51]])
+    def test_prefixes_must_ascend_within_the_factors(self, ns):
+        with pytest.raises(ValueError):
+            list(verify_prefixes(build_sequence(24, 50), ns))
 
 
 class TestReferenceErrors:

@@ -247,16 +247,18 @@ class TestBoundsCommand:
         with pytest.raises(CliError):
             run(["bounds", "--p", "24", "--n", "2000000"])
 
-    @pytest.mark.parametrize("n,allowed", [("10000", True), ("10001", False)])
-    def test_size_limit_includes_its_last_n(self, n, allowed):
+    @pytest.mark.parametrize("n,allowed", [("2..100", True), ("2..101", False)])
+    def test_size_limit_includes_its_last_n(self, n, allowed, monkeypatch):
+        # row n's psi numerator has p*(n-1) bits: 24 * 4950 over 2..100
+        monkeypatch.setattr(cli, "MAX_SUMMED_BITS", 24 * 4950)
         argv = ["bounds", "--p", "24", "--n", n]
         if not allowed:
-            with pytest.raises(CliError, match="limited to n <= 10000"):
+            with pytest.raises(CliError, match="121200 bits over its rows; the limit is 118800"):
                 run(argv)
             return
         code, text = run(argv)
         assert code == 0
-        assert text.splitlines()[1].split()[0] == "10000"
+        assert text.splitlines()[-1].split()[0] == "100"
 
 
     @pytest.mark.parametrize(
@@ -353,6 +355,22 @@ class TestVerifyCommand:
         obj = json.loads(text)
         assert len(obj["checks"]) == 5
         assert all(c["passed"] for c in obj["checks"])
+
+    @pytest.mark.parametrize(
+        "p,n,message",
+        [
+            ("24", "1..5", "n must be >= 2, got 1"),
+            ("24", "0..5", "n must be >= 2, got 0"),
+            ("24", "-3..5", "n must be >= 2, got -3"),
+            ("4", "1..5", "p must be >= 8, got 4"),
+            ("7", "2..5", "p must be >= 8, got 7"),
+            ("9", "10..40", "step 28: partial product fell back to 1"),
+        ],
+    )
+    def test_range_fails_as_its_first_failing_n(self, p, n, message):
+        with pytest.raises(CliError) as info:
+            run(["verify", "--p", p, f"--n={n}"])
+        assert str(info.value) == message
 
     def test_digits_not_an_option(self):
         # verify prints no decimals, so it takes no --digits
@@ -544,8 +562,9 @@ class TestMainEntry:
         assert json.loads(proc.stdout)["n_max"] == 2088
 
 
-# Commands over MAX_DIGITS, counted over all their rows together, or over
-# MAX_EXACT_BITS, which bounds the largest exact value a command builds.
+# Commands over MAX_DIGITS, counted over all their rows together, over
+# MAX_EXACT_BITS, which bounds the largest exact value a command builds, or
+# over MAX_SUMMED_BITS, which bounds the exact values of all its rows.
 OVER_LIMITS = [
     ["spot", "--p", "24", "--x", "3/2", "--n", "2..3", "--digits", "500001"],
     ["bounds", "--p", "24", "--n", "2..11", "--digits", str(MAX_DIGITS)],
@@ -556,6 +575,11 @@ OVER_LIMITS = [
     ["adversary", "--p", "65536", "--n", "65"],
     ["adversary", "--p", "24", "--n", "100000000"],
     ["verify", "--p", "65536", "--n", "2..65"],
+    ["spot", "--p", "24", "--x", "3/2", "--n", "1000000000000"],
+    ["search", "--p", "24", "--n", "1000000000000", "--around", "8473808", "--radius", "0"],
+    ["spot", "--p", "24", "--x", "3/2", "--n", "2..3000"],
+    ["bounds", "--p", "24", "--n", "2..4000"],
+    ["verify", "--p", "24", "--n", "2..100000"],
 ]
 
 
@@ -627,13 +651,29 @@ class TestErrorBoundary:
         with pytest.raises(CliError, match="the product of 41 factors would have 984 bits"):
             run([command, "--p", "24", "--n", "41" if command == "adversary" else "2..41"])
 
+    @pytest.mark.parametrize(
+        "argv,last_row",
+        [
+            (["spot", "--p", "24", "--x", "3/2"], "40,"),
+            (["verify", "--p", "24"], "pass,sequence p=24 n=40,39"),
+        ],
+    )
+    def test_summed_bits_limit_is_inclusive(self, argv, last_row, monkeypatch):
+        # p*n bits per row: 24 * 819 over 2..40; the real limit takes seconds
+        monkeypatch.setattr(cli, "MAX_SUMMED_BITS", 24 * 819)
+        code, text = run(argv + ["--n", "2..40", "--format", "csv"])
+        assert code == 0 and text.splitlines()[-1].startswith(last_row)
+        with pytest.raises(CliError, match="20640 bits over its rows; the limit is 19656"):
+            run(argv + ["--n", "2..41"])
+
     @pytest.mark.parametrize("argv", OVER_LIMITS)
     def test_limits_refuse_before_any_work(self, argv, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("work began before the refusal")
 
         for name in ("spot_error", "exhaustive_max_error", "bound_set", "n_max",
-                     "psi_fractions", "build_sequence", "check_property1"):
+                     "psi_fractions", "build_sequence", "verify_prefixes",
+                     "check_property1"):
             monkeypatch.setattr(cli, name, forbidden)
         with pytest.raises(CliError, match="the limit is"):
             run(argv)

@@ -30,7 +30,7 @@ TMP = "<tmp>"  # replaced by a fresh temporary directory in every example
 
 # Each option maps to (values it parses, malformed values), small fixed lists
 # so that each example runs in milliseconds: p <= 12 for search, n <= 60
-# (300 for bounds), --digits <= 40.  Parsed values still include some that
+# (300 for bounds and verify), --digits <= 40.  Parsed values still include some that
 # the library refuses.
 PRECISION = (
     ["2", "4", "5", "8", "24", "53", "113"],
@@ -83,7 +83,13 @@ OPTIONS = {
         "--n": (["1", "2", "3", "10", "60"], ["-1", "0", "2..3", "x", ""]),
         **OUTPUT,
     },
-    "verify": {"--p": PRECISION, "--n": COUNT, "--format": OUTPUT["--format"]},
+    "verify": {
+        # p = 9: the construction fails at step 28, inside 10..40; 2..300:
+        # long prefixes of the one folded sequence
+        "--p": (PRECISION[0] + ["9"], PRECISION[1]),
+        "--n": (COUNT[0] + ["2..300", "10..40"], COUNT[1]),
+        "--format": OUTPUT["--format"],
+    },
     "regress": {"--golden-dir": ([GOLDENS, f"{TMP}/goldens", TMP], [])},
 }
 REQUIRED = {"--p", "--n", "--x"}
