@@ -502,7 +502,10 @@ def _build_parser() -> _Parser:
     s = subs.add_parser("spot", parents=[mode, out], help="exact error of one input")
     s.set_defaults(handler=_cmd_spot)
     s.add_argument("--p", type=int, required=True)
-    s.add_argument("--x", required=True, help="value as INT, A/B, or A/2^K")
+    s.add_argument(
+        "--x", required=True,
+        help="value as INT, A/B, or A/2^K; a negative one as --x=-A/B",
+    )
     s.add_argument("--n", required=True, help="power count N or range A..B")
 
     s = subs.add_parser("bounds", parents=[out], help="classical error bounds, in ulps")

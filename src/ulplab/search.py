@@ -32,6 +32,37 @@ an even multiple of that spacing), and the subtraction is exact.  For z in
 ``ec`` goes up by one.  So v * 2**ec is the correctly rounded power, step
 for step the same value as the integer kernel's.
 
+Why runs may skip the branches.  Let b_j be the binade of the exact
+product z_j at step j, so the branch halves v at step j exactly when
+b_j > b_{j-1} (b_0 = 0), and ec ends as b_{n-1}.  Rounding is monotone, so
+every b_j is non-decreasing in x.  Hence if candidates k_a < k_b have
+equal sums S = b_1 + ... + b_{n-1}, each b_j is equal at both ends, and so
+at every candidate between them: a run.  The branching loop gets S with
+no extra operation: its one counter s gains w_j = m + n - j at each step
+j that halves v, where m = n(n-1)/2 + 1; since b_j counts the halvings
+up to step j, s = ec * m + S with S < m.  Inside a
+run every step is ``v = x * v + C_j - C_j``, with C_j = 1.5 * 2**(53-p+b_j)
+scaled as v is (below), and ``e *= x``: no compare, no halving, no ec.
+The first product x * x is exact, so it is also e after step 1.  Without
+the halvings v and e grow as x**n, so after every block of ``_BLOCK``
+steps both are multiplied by 2**-b, b the binade reached, which brings v
+back into [1, 2].  Scaling by a power of two is exact and commutes with
+rounding while values stay normal, and here v < 2**(_BLOCK+2) and e is
+within a factor 2**513 of v.  So v and e are the branching loop's values
+times one power of two: rho_hat = v / e is the same double, and v times
+a last power of two is its v.
+
+Pass 1 visits the candidates in increasing k, as its floor needs (below).
+It walks the first and the last candidate of a range.  A walked probe
+with the current candidate's s closes a run, which it visits without
+branches; a probe with another s is kept until k reaches it, and the
+stretch before it is split in two, so no candidate is walked twice.
+S takes at most m values over the binade, so its runs average at least
+2**(p-1) / m candidates.  Runs are looked for only where that is at least
+``_RUN_GATE`` and in ranges of ``_MIN_RUN`` + 2 candidates or more, and a
+run is visited without branches only if it holds ``_MIN_RUN`` candidates
+or its constants are already built.  Elsewhere the candidates are walked.
+
 Why the filter is safe.  Alongside v the kernel keeps e, started at x and
 multiplied at every step by x (or x/2 when v was halved).  In exact
 arithmetic e ends as x**n / 2**ec, so rho = v / e is the computed power
@@ -60,10 +91,10 @@ implies |rho - 1| <= t.  The kernel runs in two passes over a range.
 
 The thresholds are computed in binary64 with an outward nudge of 2**-50
 (8u) relative, which covers the few roundings inside them.  Over the
-p = 20, n = 6 binade pass 1 keeps about 13 of each 8192 candidates and
-pass 2 scores one; over 4-candidate ranges at p = 24, n = 600 it also
-scores one per range.  So a range's cost hardly depends on where its
-errors lie.
+p = 20, n = 6 binade pass 1 walks a few dozen of each 8192 candidates,
+keeps about 13 and pass 2 scores one; over 4-candidate ranges at p = 24,
+n = 600 it also scores one per range.  So a range's cost hardly depends
+on where its errors lie.
 """
 
 from __future__ import annotations
@@ -71,10 +102,11 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from .algorithms import naive_power
 from .exact import _lowest_terms, relative_error
@@ -110,6 +142,19 @@ _BINARY64_MAX_P = 26
 # Relative nudge that moves the binary64 filter's thresholds outward; it
 # covers the handful of roundings (each at most 2**-53) inside them.
 _NUDGE = 2.0**-50
+
+# Steps per block of the branch-free loop: v and e are rescaled by a power
+# of two after each, so v stays below 2**(_BLOCK + 2) and e below
+# 2**(_BLOCK + 515), far from overflow.
+_BLOCK = 256
+
+# Fewest candidates worth building a run's constants for; a shorter run is
+# walked candidate by candidate.
+_MIN_RUN = 8
+
+# Runs are looked for only where the binade's runs average this many
+# candidates or more.
+_RUN_GATE = 64
 
 
 def _scan_chunk(args: tuple[int, int, bool, int, int]) -> tuple[int, int, int, int]:
@@ -175,39 +220,103 @@ def _scan_binary64(args: tuple[int, int, bool, int, int]) -> tuple[int, int, int
     exactly, largest estimate first (see the module docstring)."""
     p, n, _, k_lo, k_hi = args
     nm1 = n - 1
-    steps = range(nm1)
     spacing = 2.0 ** (1 - p)
     c_lo = 1.5 * 2.0 ** (53 - p)  # rounds z in [1, 2) to p bits
-    c_hi = 2.0 * c_lo  # rounds z in [2, 4) to p bits
     gamma = n * 2.0**-53 / (1.0 - n * 2.0**-53) * (1.0 + _NUDGE)  # >= gamma_n
     t_viol = nm1 * 2.0**-p  # the (n-1)-ulp line as a relative error, exactly
+    # A walk adds weights[i] to s at each step i that halves v.  S climbs
+    # from 0 to at most m - 1 over the binade, so its runs average at least
+    # 2**(p-1) / m candidates: only where that is long, in a long range,
+    # are runs worth looking for.
+    m = nm1 * n // 2 + 1
+    runs = n > 1 and k_hi - k_lo >= _MIN_RUN + 2 and 1 << (p - 1) >= _RUN_GATE * m
+    if runs or nm1 >= 1 << 20:  # (a range holds no memory at any n)
+        weights = range(m + nm1, m, -1)  # s = ec * m + S, as S < m
+    else:
+        weights, m = b"\1" * nm1, 1  # s = ec, counted in cached small ints
     # Pass 1, doubles only: keep (rho_hat, k, v, ec) of every candidate
-    # outside the band that a kept candidate's error floor allows.
+    # outside the band that a kept candidate's error floor allows.  The
+    # candidates are visited in increasing k, as the floor needs.
     kept = []
     floor = 0.0
     lo, hi = 2.0, 0.0  # empty, so the range's first candidate is kept
-    x = 1.0 + k_lo * spacing
-    for k in range(k_lo, k_hi):
-        x_half = 0.5 * x
-        v = e = x
-        ec = 0
-        for _ in steps:
-            z = x * v
-            if z >= 2.0:
-                v = (z + c_hi - c_hi) * 0.5
-                e *= x_half
-                ec += 1
-            else:
-                v = z + c_lo - c_lo
-                e *= x
-        rho_hat = v / e
-        if not lo <= rho_hat <= hi:
-            kept.append((rho_hat, k, v, ec))
-            t = _error_floor(rho_hat, gamma)
-            if t > floor:
-                floor = t
-                lo, hi = _band(min(t, t_viol), gamma)
-        x += spacing
+
+    def keep(rho_hat, k, v, ec):
+        nonlocal floor, lo, hi
+        kept.append((rho_hat, k, v, ec))
+        t = _error_floor(rho_hat, gamma)
+        if t > floor:
+            floor = t
+            lo, hi = _band(min(t, t_viol), gamma)
+
+    def walk(a, b):  # walk and visit candidates a .. b-1
+        for k, rho_hat, v, s in _walks(a, b, spacing, weights, c_lo):
+            if not lo <= rho_hat <= hi:
+                keep(rho_hat, k, v, s // m)
+
+    def probe(k):
+        return next(_walks(k, k + 1, spacing, weights, c_lo))
+
+    if runs:
+        probes = [probe(k_hi - 1), probe(k_lo)]
+    else:
+        walk(k_lo, k_hi)
+        probes = []
+    # Candidate k has been visited, and probes holds walked candidates
+    # beyond it, the nearest last.  Up to a probe with k's s lies a run,
+    # visited without branches if it is worth its constants.  A longer
+    # stretch up to any other probe is split in two; a shorter one is
+    # walked.  So no candidate is walked twice.
+    k, s, run_s = k_lo - 1, None, None  # run_s: the run constants' s
+    while probes:
+        q, rho_q, v_q, s_q = probes[-1]
+        gap = q - k - 1
+        if s_q == s and (s == run_s or gap >= _MIN_RUN):
+            if s != run_s:
+                c1, head, last, unscale = _run_constants(1.0 + k * spacing, nm1, c_lo)
+                run_s, ec = s, s // m
+            # Two candidates at a time, x and y; an odd last one is walked.
+            x = 1.0 + (k + 1) * spacing
+            for j in range(k + 1, q - 1, 2):
+                y = x + spacing
+                e = x * x  # exact, so also the first product to round
+                f = y * y
+                v = e + c1 - c1
+                w = f + c1 - c1
+                if head:
+                    for block, scale in head:
+                        for c in block:
+                            v = x * v + c - c
+                            w = y * w + c - c
+                            e *= x
+                            f *= y
+                        v *= scale
+                        w *= scale
+                        e *= scale
+                        f *= scale
+                for c in last:
+                    v = x * v + c - c
+                    w = y * w + c - c
+                    e *= x
+                    f *= y
+                rho_hat = v / e
+                if not lo <= rho_hat <= hi:
+                    keep(rho_hat, j, v * unscale, ec)
+                rho_hat = w / f
+                if not lo <= rho_hat <= hi:
+                    keep(rho_hat, j + 1, w * unscale, ec)
+                x = y + spacing
+            if gap % 2:
+                walk(q - 1, q)
+        elif gap > _MIN_RUN:
+            probes.append(probe((k + q) // 2))
+            continue
+        elif gap:
+            walk(k + 1, q)
+        probes.pop()
+        if not lo <= rho_q <= hi:
+            keep(rho_q, q, v_q, s_q // m)
+        k, s = q, s_q
     # Pass 2, exact: the first candidate scored is almost always the
     # range's best, and its error rules out the rest.
     kept.sort(key=lambda c: abs(c[0] - 1.0), reverse=True)
@@ -229,6 +338,60 @@ def _scan_binary64(args: tuple[int, int, bool, int, int]) -> tuple[int, int, int
             t = err * 2.0**-p * (1.0 - _NUDGE)
             lo, hi = _band(min(t, t_viol), gamma)
     return state
+
+
+def _walks(
+    k_lo: int, k_hi: int, spacing: float, weights: range | bytes, c_lo: float
+) -> Iterator[tuple[int, float, float, int]]:
+    """Yield (k, rho_hat, v, s) for each candidate k in [k_lo, k_hi), by the
+    branching loop: v in [1, 2] is the computed power over 2**ec, and s adds
+    weights[i] at each step i that halves v."""
+    c_hi = 2.0 * c_lo  # rounds z in [2, 4) to p bits
+    x = 1.0 + k_lo * spacing
+    for k in range(k_lo, k_hi):
+        x_half = 0.5 * x
+        v = e = x
+        s = 0
+        for w in weights:
+            z = x * v
+            if z >= 2.0:
+                v = (z + c_hi - c_hi) * 0.5
+                e *= x_half
+                s += w
+            else:
+                v = z + c_lo - c_lo
+                e *= x
+        yield k, v / e, v, s
+        x += spacing
+
+
+def _run_constants(x: float, nm1: int, c_lo: float) -> tuple[float, list, list, float]:
+    """The branch-free loop's constants for the run that holds x.
+
+    Returns (c1, head, last, unscale).  c1 rounds the first product x * x.
+    The later steps go in blocks of _BLOCK: head pairs each block but the
+    last with its constants C_j and the power of two that then brings v
+    back into [1, 2].  last holds the last block's constants, and unscale
+    is the power of two that brings the final v into [1, 2].
+    """
+    z = x * x
+    top, c = (4.0, 2.0 * c_lo) if z >= 2.0 else (2.0, c_lo)
+    c1 = c
+    v = z + c - c
+    head = []
+    last = []
+    for _ in range(nm1 - 1):
+        if len(last) == _BLOCK:
+            head.append((last, 2.0 / top))
+            v *= 2.0 / top
+            top, c, last = 2.0, c_lo, []
+        z = x * v
+        if z >= top:  # z < 2 * top, as x < 2 and v <= top
+            top += top
+            c += c
+        v = z + c - c
+        last.append(c)
+    return c1, head, last, 2.0 / top
 
 
 def _band(t: float, gamma: float) -> tuple[float, float]:
@@ -279,6 +442,21 @@ def _merge(
     if new > old or (new == old and 0 <= pk < k):
         num, den, k = pnum, pden, pk
     return num, den, k, viol + pviol
+
+
+def _pooled(
+    pool: ProcessPoolExecutor, chunks: Iterable[tuple[int, int, bool, int, int]], depth: int
+) -> Iterator[tuple[tuple[int, int, bool, int, int], tuple[int, int, int, int]]]:
+    """Yield (chunk, _scan_chunk(chunk)) in order, scanned in ``pool`` with
+    at most ``depth`` chunks submitted and not yet taken."""
+    pending = deque()
+    for chunk in chunks:
+        pending.append((chunk, pool.submit(_scan_chunk, chunk)))
+        if len(pending) == depth:
+            chunk, future = pending.popleft()
+            yield chunk, future.result()
+    for chunk, future in pending:
+        yield chunk, future.result()
 
 
 def _write_checkpoint(path: str, payload: dict) -> None:
@@ -393,20 +571,25 @@ def exhaustive_max_error(
         num, den, _, _ = _scan_chunk((p, n, ties_away, best_k, best_k + 1))
         state = num, den, best_k, violations
 
-    chunks = [
+    # Chunks are made as they are taken, so a scan's memory does not grow
+    # with their count.
+    chunks = (
         (p, n, ties_away, lo, min(lo + chunk_size, k_stop))
         for lo in range(next_k, k_stop, chunk_size)
-    ]
+    )
 
     # Never more workers than chunks or CPUs: the pool forks all of them at
     # once.  The CPU count is a system call, so a serial scan skips it.
-    workers = min(jobs, len(chunks))
+    workers = min(jobs, -(-(k_stop - next_k) // chunk_size))
     if workers > 1:
         workers = min(workers, os.cpu_count() or 1)
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
-        parts = (pool.map if pool else map)(_scan_chunk, chunks)
-        for chunk, part in zip(chunks, parts):
+        if pool:
+            parts = _pooled(pool, chunks, 2 * workers)
+        else:
+            parts = ((chunk, _scan_chunk(chunk)) for chunk in chunks)
+        for chunk, part in parts:
             state = _merge(state, part)
             done_upto = chunk[4]
             if checkpoint:

@@ -211,6 +211,21 @@ class TestSpotCommand:
             "outside +/-4611686018427387904\n"
         )
 
+    def test_negative_x_is_given_with_an_equals_sign(self, capsys):
+        # argparse reads a bare -3/2 as an option, so --x=-3/2 is the form;
+        # the error of -x is the error of x.
+        def spot(*x):
+            code, text = run(["spot", "--p", "4", *x, "--n", "2..6", "--format", "json"])
+            assert code == 0
+            return json.loads(text)
+
+        minus, plus = spot("--x=-3/2"), spot("--x", "3/2")
+        assert minus["rows"] == plus["rows"]
+        assert any(row["error"]["fraction"] != "0/1" for row in plus["rows"])
+        assert (minus["x"], plus["x"]) == ("-12/2^3", "12/2^3")
+        assert main(["spot", "--p", "4", "--x", "-3/2", "--n", "2"]) == 2
+        assert capsys.readouterr().err == "error: argument --x: expected one argument\n"
+
     def test_mode_flag(self):
         even = run(["spot", "--p", "8", "--x", "136/2^7", "--n", "3", "--format", "json"])
         away = run(

@@ -1,6 +1,7 @@
 import json
 import os
 import tempfile
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -337,6 +338,123 @@ class TestBinary64Kernel:
                 _scan_chunk(args)
 
 
+def _binades(x, n, p):
+    """b_1 .. b_{n-1}: the binade of each exact product x * v in the power
+    iteration, v the rounded power before it, from exact fractions."""
+    v, out = x, []
+    for _ in range(n - 1):
+        z = x * v
+        out.append(z.numerator.bit_length() - z.denominator.bit_length()
+                   - (z.numerator << z.denominator.bit_length()
+                      < z.denominator << z.numerator.bit_length()))
+        v = oracle_round(z, p)
+    return out
+
+
+@pytest.fixture
+def forced_runs(monkeypatch):
+    """Look for runs in every range of two or more candidates, and run every
+    stretch that shares its s once it has ``min_run`` candidates or more
+    (0: every one, however short; otherwise short ones are walked)."""
+
+    def force(min_run):
+        monkeypatch.setattr(search, "_RUN_GATE", 0)
+        monkeypatch.setattr(search, "_MIN_RUN", min_run)
+
+    return force
+
+
+class TestRunKernel:
+    """The branch-free loop over runs of candidates with the same binades."""
+
+    @pytest.mark.parametrize("n", range(2, 41))
+    def test_whole_binades_in_any_chunking(self, n, forced_runs):
+        p = 10
+        space = 1 << (p - 1)
+        plans = [(None, (1, space)), (0, (2, 3, 5, 64, space)), (3, (5, 64, space))]
+        for min_run, sizes in plans:
+            if min_run is not None:
+                forced_runs(min_run)
+            for size in sizes:
+                for lo in range(0, space, size):
+                    _both_kernels(p, n, lo, min(space, lo + size))
+
+    @pytest.mark.parametrize("n", [256, 257, 258, 259, 512, 513, 514, 515, 1100])
+    def test_rescaled_blocks(self, n, forced_runs, monkeypatch):
+        # Windows at the top of the binade, where x**1100 passes 2**1024:
+        # without the rescaling v and e would overflow.  The first step is
+        # peeled off, so n = 259 and n = 515 are the first with one and two
+        # full blocks before the last.  The estimates are the branching
+        # loop's, so the filter still keeps few candidates for pass 2.
+        built, kept = [], []
+
+        def spy(*args):
+            consts = run_constants(*args)
+            built.append(len(consts[1]))
+            return consts
+
+        run_constants, error_floor = search._run_constants, search._error_floor
+        monkeypatch.setattr(search, "_run_constants", spy)
+        monkeypatch.setattr(search, "_error_floor", lambda *a: kept.append(a) or error_floor(*a))
+        p = 24
+        space = 1 << (p - 1)
+        for min_run in (0, 8):
+            forced_runs(min_run)
+            kept.clear()
+            _both_kernels(p, n, space - 48, space)
+            assert len(kept) <= 4
+        assert built and set(built) == {(n - 3) // search._BLOCK}
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_at_the_range_gate(self, p, forced_runs):
+        n = (1 << (p + 8)) + 1
+        space = 1 << (p - 1)
+        for min_run in (None, 0):
+            if min_run is not None:
+                forced_runs(min_run)
+            for size in (1, 2, space):
+                for lo in range(0, space, size):
+                    _both_kernels(p, n, lo, min(space, lo + size))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        p=st.integers(6, 20),
+        n=st.integers(2, 24),
+        data=st.data(),
+    )
+    def test_equal_sums_mean_equal_binades_between(self, p, n, data):
+        """Each b_j is non-decreasing in x, so two candidates whose sums S
+        agree have the same b_j, and so has every candidate between them.
+        The walk's s holds that S and the last binade ec."""
+        space = 1 << (p - 1)
+        k_a = data.draw(st.integers(0, space - 2), label="k_a")
+        k_b = data.draw(st.integers(k_a + 1, min(space - 1, k_a + 12)), label="k_b")
+        rows = [_binades(Fraction(space + k, space), n, p) for k in range(k_a, k_b + 1)]
+        for below, above in zip(rows, rows[1:]):
+            assert all(b <= c for b, c in zip(below, above))
+        if sum(rows[0]) == sum(rows[-1]):
+            assert all(row == rows[0] for row in rows)
+        m = (n - 1) * n // 2 + 1
+        walks = search._walks(k_a, k_b + 1, 2.0 ** (1 - p), range(m + n - 1, m, -1),
+                              1.5 * 2.0 ** (53 - p))
+        assert [divmod(s, m) for _, _, _, s in walks] == [(row[-1], sum(row)) for row in rows]
+
+    def test_a_binade_scan_chunk_walks_few_candidates(self, monkeypatch):
+        # At p = 20, n = 6 a whole 8192-candidate chunk is one run or two:
+        # walking each candidate again would show here.
+        walked = []
+
+        def spy(k_lo, k_hi, *rest):
+            walked.append(k_hi - k_lo)
+            return walks(k_lo, k_hi, *rest)
+
+        walks = search._walks
+        monkeypatch.setattr(search, "_walks", spy)
+        for lo in (0, 1 << 17, 3 << 17):
+            _scan_chunk((20, 6, False, lo, lo + 8192))
+        assert sum(walked) < 3 * 8192 // 64
+
+
 class TestCheckpointing:
     def test_interrupt_and_resume_bit_identical(self, tmp_path):
         ck = str(tmp_path / "scan.json")
@@ -521,13 +639,16 @@ def test_resume_after_any_chunk_equals_a_clean_scan(p, n, mode, data):
 
 class QueueingPool:
     """Stands in for ProcessPoolExecutor and runs chunks in-process.  Like the
-    real pool, ``map`` queues every chunk at once and ``shutdown`` runs what
-    is still queued unless ``cancel_futures`` is set."""
+    real pool, ``submit`` queues a chunk, a chunk's result is ready once it
+    and every chunk queued before it have run, and ``shutdown`` runs what is
+    still queued unless ``cancel_futures`` is set.  ``ran`` counts the
+    chunks run, and ``most_queued`` is the most chunks queued at once."""
 
     def __init__(self, max_workers):
         self.max_workers = max_workers
         self.queue = []
-        self.ran = []
+        self.ran = 0
+        self.most_queued = 0
         POOLS.append(self)
 
     def __enter__(self):
@@ -536,20 +657,34 @@ class QueueingPool:
     def __exit__(self, *exc):
         self.shutdown()
 
-    def map(self, fn, chunks):
-        self.queue = [(fn, c) for c in chunks]
-        return (self._run_next() for _ in chunks)
+    def submit(self, fn, chunk):
+        job = QueuedJob(self, fn, chunk)
+        self.queue.append(job)
+        self.most_queued = max(self.most_queued, len(self.queue))
+        return job
 
     def _run_next(self):
-        fn, chunk = self.queue.pop(0)
-        self.ran.append(chunk)
-        return fn(chunk)
+        job = self.queue.pop(0)
+        self.ran += 1
+        job.value = job.fn(job.chunk)
 
     def shutdown(self, wait=True, *, cancel_futures=False):
         if cancel_futures:
             self.queue.clear()
         while self.queue:
             self._run_next()
+
+
+class QueuedJob:
+    """The future ``QueueingPool.submit`` returns."""
+
+    def __init__(self, pool, fn, chunk):
+        self.pool, self.fn, self.chunk = pool, fn, chunk
+
+    def result(self):
+        while not hasattr(self, "value"):
+            self.pool._run_next()
+        return self.value
 
 
 POOLS: list[QueueingPool] = []
@@ -573,7 +708,7 @@ class TestPool:
             exhaustive_max_error(12, 6, jobs=2, chunk_size=256,
                                  checkpoint=str(tmp_path / "scan.json"))
         (pool,) = POOLS
-        assert len(pool.ran) == 1  # of 8 chunks
+        assert pool.ran == 1  # of 8 chunks
 
     def test_failed_progress_callback_cancels_queued_chunks(self):
         def fail(done, total):
@@ -583,7 +718,7 @@ class TestPool:
         with pytest.raises(self.Stop):
             exhaustive_max_error(12, 6, jobs=2, chunk_size=256, progress=fail)
         (pool,) = POOLS
-        assert len(pool.ran) == 2
+        assert pool.ran == 2
 
     @pytest.mark.parametrize("jobs,chunk_size,workers", [
         (64, 512, 2), (3, 512, 2), (2, 256, 2), (64, 256, 4), (3, 256, 3),
@@ -593,7 +728,8 @@ class TestPool:
         report = exhaustive_max_error(11, 5, jobs=jobs, chunk_size=chunk_size)
         (pool,) = POOLS
         assert pool.max_workers == workers
-        assert len(pool.ran) == 1024 // chunk_size
+        assert pool.ran == 1024 // chunk_size
+        assert pool.most_queued <= 2 * workers
         assert report == exhaustive_max_error(11, 5, chunk_size=chunk_size)
 
     @pytest.mark.parametrize("cpus,workers", [(3, 3), (1, None), (None, None)])
@@ -603,6 +739,26 @@ class TestPool:
         report = exhaustive_max_error(11, 5, jobs=64, chunk_size=256)
         assert [pool.max_workers for pool in POOLS] == ([workers] if workers else [])
         assert report == exhaustive_max_error(11, 5, chunk_size=256)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_memory_does_not_grow_with_the_chunk_count(self, jobs, monkeypatch):
+        # Each chunk is one candidate scored as 0 without any work, so what
+        # could grow is the scan's own bookkeeping: a list of 2**14 chunk
+        # tuples, made up front, would take about 2.5 MB.
+        monkeypatch.setattr(search, "_scan_chunk", lambda args: (0, 1, args[3], 0))
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+        def peak(chunks):
+            tracemalloc.start()
+            try:
+                exhaustive_max_error(20, 3, k_stop=chunks, jobs=jobs, chunk_size=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(1 << 8), peak(1 << 14)
+        assert large < small + (64 << 10)
+        assert all(pool.most_queued <= 4 for pool in POOLS)
 
     @pytest.mark.parametrize("jobs", [2, 64])
     def test_one_chunk_starts_no_pool(self, jobs):
