@@ -2,8 +2,9 @@
 
 Everything is exact: the classical bounds are rationals in ulps built from
 integers, ``n_max`` decides its irrational threshold through an integer
-predicate, and the check suites evaluate the paper's inequalities at
-rational sample points, so no double-precision rounding can leak in.
+predicate, and the check suites multiply each of the paper's inequalities
+at a rational sample u = a/b through by its denominators, so every case is
+a comparison of integers and no double-precision rounding can leak in.
 """
 
 from __future__ import annotations
@@ -137,37 +138,39 @@ def n_max(p: int) -> int:
     return isqrt(_iroot(1 << (3 * p + 1), 3) - (1 << p))
 
 
-def _property1_grid() -> list[Fraction]:
-    grid = [Fraction(1, 1 << j) for j in range(5, 61)]
-    grid += [Fraction(1, 33), Fraction(1, 100), Fraction(3, 1000)]
-    return grid
+_PROPERTY1_GRID = [(1, 1 << j) for j in range(5, 61)] + [(1, 33), (1, 100), (3, 1000)]
+
+
+def _property1_holds(k: int, a: int, b: int) -> bool:
+    return (b + 2 * a) ** k * b < (b + k * a) * (b + a) ** k
 
 
 def check_property1() -> CheckReport:
     """(1 + u/(1+u))**k < 1 + k*u for k <= 3, and fails for some u at k = 4.
 
-    Verified exactly on a grid of rational u in (0, 1/32]; the k = 4
-    counterexample is searched over u = 2**-j, j = 4..60.
+    Verified exactly on a grid of rational u = a/b in (0, 1/32]; the k = 4
+    counterexample is searched over u = 2**-j, j = 4..60.  As 1 + u/(1+u)
+    is (b+2a)/(b+a), each case is the inequality times b * (b+a)**k:
+    (b+2a)**k * b < (b+ka) * (b+a)**k.
     """
-    grid = _property1_grid()
-    holds = all((1 + u / (1 + u)) ** k < 1 + k * u for k in (1, 2, 3) for u in grid)
-    k4_fails = any(
-        (1 + u / (1 + u)) ** 4 >= 1 + 4 * u
-        for u in (Fraction(1, 1 << j) for j in range(4, 61))
-    )
-    return CheckReport(
-        name="property1", passed=holds and k4_fails, checked=3 * len(grid)
-    )
+    grid = _PROPERTY1_GRID
+    holds = all(_property1_holds(k, a, b) for k in (1, 2, 3) for a, b in grid)
+    k4_fails = not all(_property1_holds(4, 1, 1 << j) for j in range(4, 61))
+    return CheckReport("property1", holds and k4_fails, 3 * len(grid))
 
 
-def _lemma2_samples(n: int) -> list[Fraction]:
-    top = Fraction(2, 3 * n * n)
-    d = _LEMMA2_SUBDIVISIONS
-    samples = [top * Fraction(j, d) for j in range(d + 1)]
-    j = 1
-    while Fraction(1, 1 << j) > top:
-        j += 1
-    samples += [Fraction(1, 1 << jj) for jj in range(j, min(j + 20, 64))]
+def _lemma2_holds(n: int, a: int, b: int, b_pow: int) -> bool:
+    m = n * n * a  # b_pow is b**(n-2)
+    return (b + a) ** (n - 2) * (b + m + a) * b <= (b + (n - 1) * a) * (b + m) * b_pow
+
+
+def _lemma2_samples(n: int) -> list[tuple[int, int, int]]:
+    # (a, b, b**(n-2)) for u = a/b: 0 to 2/(3n^2) in equal steps, then 2**-j
+    b = 3 * n * n * _LEMMA2_SUBDIVISIONS
+    b_pow = b ** (n - 2)
+    samples = [(2 * j, b, b_pow) for j in range(_LEMMA2_SUBDIVISIONS + 1)]
+    j = (3 * n * n - 1).bit_length() - 1  # least j with 2**(j+1) >= 3n^2
+    samples += [(1, 1 << jj, 1 << jj * (n - 2)) for jj in range(j, min(j + 20, 64))]
     return samples
 
 
@@ -175,36 +178,35 @@ def check_lemma2() -> CheckReport:
     """(1+u)**(n-2) * (1 + u/(1+n^2 u)) <= 1 + (n-1)u on 0 <= u <= 2/(3n^2).
 
     Sampled exactly: the endpoints, a uniform rational subdivision of the
-    interval, and the dyadic points 2**-j that fall inside it.  This is a
-    regression guard on the inequality, not a proof over the continuum.
+    interval over one denominator, and the dyadic 2**-j inside it.  At
+    u = a/b a case is the inequality times b**(n-1) * (b + n^2 a), both of
+    whose sides have degree n in (a, b), so a pair need not be reduced.
+    This is a regression guard on the inequality, not a proof over the
+    continuum.
     """
-    cases = [(n, u) for n in _LEMMA2_N_GRID for u in _lemma2_samples(n)]
-    holds = all(
-        (1 + u) ** (n - 2) * (1 + u / (1 + n * n * u)) <= 1 + (n - 1) * u
-        for n, u in cases
-    )
+    cases = [(n, *c) for n in _LEMMA2_N_GRID for c in _lemma2_samples(n)]
+    holds = all(_lemma2_holds(*c) for c in cases)
     return CheckReport(name="lemma2", passed=holds, checked=len(cases))
 
 
-def _refined_binary32_holds(n: int, m_pow: int) -> bool:
-    # (1 + 7.06u)(1+u)**(n-10) - 1 <= (n - 2.8104)u at u = 2**-24, with
-    # m_pow = (2**24 + 1)**(n-10); cleared of denominators this is exactly:
-    lhs = 100 * ((100 << 24) + 706) * m_pow
-    rhs = ((10_000 << 24) + 10_000 * n - 28_104) << (24 * (n - 10))
-    return lhs <= rhs
+def _refined_binary32_holds(n: int, lhs: int) -> bool:
+    # lhs = 100 * (100 * 2**24 + 706) * (2**24 + 1)**(n-10) <= r * 2**s,
+    # where r * 2**s is built only if lhs >> s is r
+    s, r = 24 * (n - 10), (10_000 << 24) + 10_000 * n - 28_104
+    top = lhs >> s
+    return top < r or (top == r and lhs == r << s)
 
 
 def check_refined_binary32_bound() -> CheckReport:
     """The single-precision refinement (n - 2.8104)u holds for 10 <= n <= 2088.
 
-    The constants 7.06 and 2.8104 enter as the exact rationals 706/100 and
-    28104/10000; every comparison is an integer comparison.
+    That is (1 + 7.06u)(1+u)**(n-10) - 1 <= (n - 2.8104)u at u = 2**-24;
+    times 10**4 * 2**(24(n-9)) both sides are integers, and the left one
+    gains a factor 2**24 + 1 per n.
     """
     ns = range(10, 2089)
-    holds = True
-    m_pow = 1
-    step = (1 << 24) + 1
+    holds, lhs = True, 100 * ((100 << 24) + 706)
     for n in ns:
-        holds = _refined_binary32_holds(n, m_pow) and holds
-        m_pow *= step
+        holds = _refined_binary32_holds(n, lhs) and holds
+        lhs *= (1 << 24) + 1
     return CheckReport(name="refined_binary32", passed=holds, checked=len(ns))

@@ -24,6 +24,7 @@ from operator import itemgetter
 
 from .adversary import build_sequence, verify_prefixes, verify_sequence
 from .bounds import (
+    CheckReport,
     bound_set,
     check_lemma2,
     check_property1,
@@ -31,7 +32,7 @@ from .bounds import (
     n_max,
     psi_fractions,
 )
-from .exact import _int_str, to_decimal
+from .exact import _int_str, _trailing_zeros, to_decimal
 from .search import DEFAULT_CHUNK_SIZE, PRECISION_GUARD, exhaustive_max_error, spot_error
 from .softfloat import (
     ExponentRangeError,
@@ -129,6 +130,17 @@ def _fp_repr(x: FpNumber) -> str:
     if shift <= 0:
         return sign + _int_str(x.significand << -shift)
     return f"{sign}{x.significand}/2^{shift}"
+
+
+def _fraction_str(x: FpNumber) -> str:
+    """``str(x.to_fraction())`` without the Fraction: the significand's
+    trailing zero bits cancel against the power-of-two denominator."""
+    shift = x.precision - 1 - x.exponent
+    if x.is_zero or shift <= 0:
+        return _fp_repr(x)
+    t = min(_trailing_zeros(x.significand), shift)
+    num = f"{'-' if x.sign < 0 else ''}{x.significand >> t}"
+    return num if t == shift else f"{num}/{1 << shift - t}"
 
 
 def _error_obj(err: Fraction, digits: int, den: str = "") -> dict:
@@ -314,7 +326,7 @@ def _cmd_adversary(args: argparse.Namespace) -> tuple[int, str]:
     _budget(args, range(args.n, args.n + 1), "the product of {} factors")
     factors = build_sequence(args.p, args.n)
     report = verify_sequence(factors)
-    values = [str(f.to_fraction()) for f in factors]
+    values = [_fraction_str(f) for f in factors]
     # gap = (n-1) - achieved_error has the error's reduced denominator
     den = _int_str(report.achieved_error.denominator)
     err = _error_obj(report.achieved_error, args.digits, den)
@@ -355,26 +367,17 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     ns = _parse_range(args.n)  # refused even when --p is absent
     if args.p is not None:
         _budget(args, ns, "the product of {} factors")
-    checks = [
-        {"name": c.name, "passed": c.passed, "checked": c.checked}
-        for c in (check_property1(), check_lemma2(), check_refined_binary32_bound())
-    ]
+    reports = [check_property1(), check_lemma2(), check_refined_binary32_bound()]
     if args.p is not None:
         # one sequence's prefixes; a range from below 2 fails as its first n
         factors = build_sequence(args.p, ns[-1] if ns[0] >= 2 else ns[0])
-        for n, report in zip(ns, verify_prefixes(factors, ns)):
-            checks.append(
-                {
-                    "name": f"sequence p={args.p} n={n}",
-                    "passed": report.passed,
-                    "checked": len(report.directions),
-                }
-            )
-    ok = all(c["passed"] for c in checks)
-    obj = {
-        "checks": checks,
-        "passed": ok,
-    }
+        reports += (
+            CheckReport(f"sequence p={args.p} n={n}", r.passed, len(r.directions))
+            for n, r in zip(ns, verify_prefixes(factors, ns))
+        )
+    checks = [dict(name=c.name, passed=c.passed, checked=c.checked) for c in reports]
+    ok = all(c.passed for c in reports)
+    obj = {"checks": checks, "passed": ok}
     return (0 if ok else 1), _render(args, obj, _VERIFY_COLUMNS, checks)
 
 

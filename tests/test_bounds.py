@@ -15,7 +15,13 @@ from ulplab import (
     psi_fractions,
     to_decimal,
 )
-from ulplab.bounds import _iroot
+from ulplab.bounds import (
+    _iroot,
+    _lemma2_holds,
+    _lemma2_samples,
+    _property1_holds,
+    _refined_binary32_holds,
+)
 from ulplab.exact import _STR_DC_BITS, _int_str
 from conftest import int_digit_limit
 
@@ -189,7 +195,7 @@ class TestPropertyChecks:
     def test_property1(self):
         report = check_property1()
         assert report.passed
-        assert report.checked >= 3 * 50
+        assert report.checked == 177  # k = 1, 2, 3 on 59 points
 
     def test_property1_k4_counterexample(self):
         # the k = 4 failure is real: some u = 2**-j, j = 4..60, has it
@@ -206,7 +212,7 @@ class TestPropertyChecks:
     def test_lemma2_default_grid(self):
         report = check_lemma2()
         assert report.passed
-        assert report.checked > 100
+        assert report.checked == 296  # 8 chain lengths, 37 points each
 
     def test_lemma2_endpoint_exact(self):
         # boundary u = 2/(3 n**2) must be included and hold
@@ -226,3 +232,86 @@ class TestPropertyChecks:
         lhs = (1 + Fraction(706, 100) * u) * (1 + u) ** 0 - 1
         assert lhs == Fraction(706, 100) * u
         assert lhs <= (10 - Fraction(28104, 10000)) * u
+
+
+# t in (0, 1]: Lemma 2 is tried at u = 16/(3n^2) * t, past its interval's end
+# 2/(3n^2), so that it both holds and fails
+_UNIT = st.fractions(min_value=0, max_value=1, max_denominator=1 << 32).filter(bool)
+
+
+def _lemma2_fraction_form(n: int, u: Fraction) -> bool:
+    return (1 + u) ** (n - 2) * (1 + u / (1 + n * n * u)) <= 1 + (n - 1) * u
+
+
+class TestIntegerPredicates:
+    """Each check suite's integer predicate decides what the plain Fraction
+    inequality decides, case by case, on both sides of its outcome."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        k=st.integers(min_value=1, max_value=6),
+        u=st.fractions(min_value=0, max_value=16, max_denominator=1 << 40).filter(bool),
+        g=st.integers(min_value=1, max_value=1 << 10),
+    )
+    @example(k=4, u=Fraction(1, 16), g=1)  # the k = 4 failure
+    @example(k=4, u=Fraction(10), g=1)  # k = 4 holds for a large u
+    @example(k=3, u=Fraction(3, 1000), g=7)
+    def test_property1(self, k, u, g):
+        # a/b is u unreduced by the factor g
+        expected = (1 + u / (1 + u)) ** k < 1 + k * u
+        a, b = g * u.numerator, g * u.denominator
+        assert _property1_holds(k, a, b) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=3, max_value=1200),
+        t=_UNIT,
+        g=st.integers(min_value=1, max_value=1 << 10),
+    )
+    @example(n=3, t=Fraction(1), g=3)
+    def test_lemma2(self, n, t, g):
+        a, b = g * 16 * t.numerator, g * 3 * n * n * t.denominator
+        expected = _lemma2_fraction_form(n, Fraction(16, 3 * n * n) * t)
+        assert _lemma2_holds(n, a, b, b ** (n - 2)) == expected
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 10, 32, 100, 1000])
+    def test_lemma2_samples(self, n):
+        # 0 to 2/(3n^2) in 16 equal steps, then the 20 largest 2**-j inside
+        top = Fraction(2, 3 * n * n)
+        samples = _lemma2_samples(n)
+        assert all(b_pow == b ** (n - 2) for _, b, b_pow in samples)
+        us = [Fraction(a, b) for a, b, _ in samples]
+        assert us[:17] == [top * j / 16 for j in range(17)]
+        j = next(j for j in range(1, 64) if Fraction(1, 1 << j) <= top)
+        assert us[17:] == [Fraction(1, 1 << jj) for jj in range(j, j + 20)]
+
+    @pytest.mark.parametrize(
+        "n,c,holds",
+        [(10, 8, False), (100, 4, False), (1000, 4, False), (10, 4, True),
+         (100, 2, True), (1000, 2, True)],
+    )
+    def test_lemma2_fails_past_its_interval(self, n, c, holds):
+        # u = c/(3n^2); the lemma's interval ends at c = 2, and the
+        # Hypothesis test above draws c up to 16
+        b = 3 * n * n
+        assert _lemma2_fraction_form(n, Fraction(c, b)) is holds
+        assert _lemma2_holds(n, c, b, b ** (n - 2)) is holds
+
+    def test_refined_binary32_matches_the_product_form(self):
+        # n = 10..2200: true to 2088, false from 2089 on
+        step, m_pow = (1 << 24) + 1, 1
+        lhs = 100 * ((100 << 24) + 706)
+        for n in range(10, 2201):
+            rhs = ((10_000 << 24) + 10_000 * n - 28_104) << (24 * (n - 10))
+            expected = 100 * ((100 << 24) + 706) * m_pow <= rhs
+            assert _refined_binary32_holds(n, lhs) is expected is (n <= 2088), n
+            lhs, m_pow = lhs * step, m_pow * step
+
+    @pytest.mark.parametrize("n", [10, 11, 50, 2088])
+    def test_refined_binary32_equal_tops(self, n):
+        # lhs >> s equal to the bound's r: only the low bits decide
+        s, r = 24 * (n - 10), (10_000 << 24) + 10_000 * n - 28_104
+        assert _refined_binary32_holds(n, r << s)
+        assert _refined_binary32_holds(n, (r << s) - 1)
+        assert not _refined_binary32_holds(n, (r << s) + 1)
+        assert not _refined_binary32_holds(n, (r + 1) << s)

@@ -472,7 +472,8 @@ class TestCheckpointing:
 
         with pytest.raises(Stop):
             exhaustive_max_error(p, n, chunk_size=chunk, checkpoint=ck, progress=bail_after_two)
-        state = json.loads(open(ck).read())
+        with open(ck) as f:
+            state = json.load(f)
         assert state["schema_version"] == 2
         assert state["next_k"] == 2 * chunk
         resumed = exhaustive_max_error(p, n, chunk_size=chunk, checkpoint=ck)
