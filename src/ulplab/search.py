@@ -37,20 +37,18 @@ product z_j at step j, so the branch halves v at step j exactly when
 b_j > b_{j-1} (b_0 = 0), and ec ends as b_{n-1}.  Rounding is monotone, so
 every b_j is non-decreasing in x.  Hence if candidates k_a < k_b have
 equal sums S = b_1 + ... + b_{n-1}, each b_j is equal at both ends, and so
-at every candidate between them: a run.  The branching loop gets S with
-no extra operation: its one counter s gains w_j = m + n - j at each step
-j that halves v, where m = n(n-1)/2 + 1; since b_j counts the halvings
-up to step j, s = ec * m + S with S < m.  Inside a
-run every step is ``v = x * v + C_j - C_j``, with C_j = 1.5 * 2**(53-p+b_j)
-scaled as v is (below), and ``e *= x``: no compare, no halving, no ec.
-The first product x * x is exact, so it is also e after step 1.  Without
-the halvings v and e grow as x**n, so after every block of ``_BLOCK``
-steps both are multiplied by 2**-b, b the binade reached, which brings v
-back into [1, 2].  Scaling by a power of two is exact and commutes with
-rounding while values stay normal, and here v < 2**(_BLOCK+2) and e is
-within a factor 2**513 of v.  So v and e are the branching loop's values
-times one power of two: rho_hat = v / e is the same double, and v times
-a last power of two is its v.
+at every candidate between them: a run.  The branching loop gets S with no
+extra operation: its one counter s gains w_j = m + n - j at each step j
+that halves v, where m = n(n-1)/2 + 1; since b_j counts the halvings up to
+step j, s = ec * m + S with S < m.  Inside a run every step is
+``v = x * v + C_j - C_j``, with C_j = 1.5 * 2**(53-p+b_j), and ``e *= x``:
+no compare, no halving, no ec.  The first product x * x is exact, so it is
+also e after step 1.  Without the halvings v and e grow as x**n, so runs
+are looked for only where n <= ``_RUN_MAX_N`` = 969: then b_j <= 968, and
+for every p >= 2 each C_j and z + C_j stay below 2**1021.  Scaling by a
+power of two is exact and commutes with rounding among such normal values,
+so v and e are the branching loop's values times 2**ec: rho_hat = v / e is
+the same double, and v * 2**-ec is its v.
 
 Pass 1 visits the candidates in increasing k, as its floor needs (below).
 It walks the first and the last candidate of a range.  A walked probe
@@ -59,9 +57,8 @@ branches; a probe with another s is kept until k reaches it, and the
 stretch before it is split in two, so no candidate is walked twice.
 S takes at most m values over the binade, so its runs average at least
 2**(p-1) / m candidates.  Runs are looked for only where that is at least
-``_RUN_GATE`` and in ranges of ``_MIN_RUN`` + 2 candidates or more, and a
-run is visited without branches only if it holds ``_MIN_RUN`` candidates
-or its constants are already built.  Elsewhere the candidates are walked.
+``_RUN_GATE``, in ranges of ``_MIN_RUN`` + 2 candidates or more; elsewhere
+the candidates are walked.
 
 Why the filter is safe.  Alongside v the kernel keeps e, started at x and
 multiplied at every step by x (or x/2 when v was halved).  In exact
@@ -100,7 +97,9 @@ on where its errors lie.
 from __future__ import annotations
 
 import json
+import math
 import os
+import sys
 import tempfile
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
@@ -143,13 +142,11 @@ _BINARY64_MAX_P = 26
 # covers the handful of roundings (each at most 2**-53) inside them.
 _NUDGE = 2.0**-50
 
-# Steps per block of the branch-free loop: v and e are rescaled by a power
-# of two after each, so v stays below 2**(_BLOCK + 2) and e below
-# 2**(_BLOCK + 515), far from overflow.
-_BLOCK = 256
+# Largest n whose run constants stay finite unscaled (the module docstring).
+_RUN_MAX_N = sys.float_info.max_exp - 55
 
-# Fewest candidates worth building a run's constants for; a shorter run is
-# walked candidate by candidate.
+# Runs are looked for only in ranges of _MIN_RUN + 2 candidates or more;
+# in shorter ones looking for them costs more than it saves.
 _MIN_RUN = 8
 
 # Runs are looked for only where the binade's runs average this many
@@ -176,7 +173,7 @@ def _scan_exact(args: tuple[int, int, bool, int, int]) -> tuple[int, int, int, i
     """Integer kernel: every candidate iterated and scored exactly.
 
     The power iteration tracks (significand, exponent) pairs and the error
-    in ulps of candidate k is
+    in ulps of candidate k, ranked as ``_merge`` ranks errors, is
     |Xc * 2**(ec + (n-1)(p-1)) - X0**n| * 2**p / X0**n.
     """
     p, n, ties_away, k_lo, k_hi = args
@@ -184,7 +181,7 @@ def _scan_exact(args: tuple[int, int, bool, int, int]) -> tuple[int, int, int, i
     top = 1 << p
     full_bits = 2 * p
     expo_scale = (n - 1) * (p - 1)
-    best_num, best_den, best_k = -1, 1, -1
+    best_num, best_den, best_k, best = -1, 1, -1, -1.0  # best: the float quotient
     violations = 0
     nm1 = n - 1
     for k in range(k_lo, k_hi):
@@ -207,8 +204,12 @@ def _scan_exact(args: tuple[int, int, bool, int, int]) -> tuple[int, int, int, i
             Xc = q
         x_pow = X0**n
         err_num = abs((Xc << (ec + expo_scale)) - x_pow) << p
-        if err_num * best_den > best_num * x_pow:
-            best_num, best_den, best_k = err_num, x_pow, k
+        try:
+            err = err_num / x_pow
+        except OverflowError:  # an error beyond 2**1024 ulps
+            err = math.inf
+        if err > best or (err == best and err_num * best_den > best_num * x_pow):
+            best_num, best_den, best_k, best = err_num, x_pow, k, err
         if err_num > nm1 * x_pow:
             violations += 1
     return best_num, best_den, best_k, violations
@@ -229,7 +230,7 @@ def _scan_binary64(args: tuple[int, int, bool, int, int]) -> tuple[int, int, int
     # 2**(p-1) / m candidates: only where that is long, in a long range,
     # are runs worth looking for.
     m = nm1 * n // 2 + 1
-    runs = n > 1 and k_hi - k_lo >= _MIN_RUN + 2 and 1 << (p - 1) >= _RUN_GATE * m
+    runs = 2 <= n <= _RUN_MAX_N and k_hi - k_lo >= _MIN_RUN + 2 and 1 << (p - 1) >= _RUN_GATE * m
     if runs or nm1 >= 1 << 20:  # (a range holds no memory at any n)
         weights = range(m + nm1, m, -1)  # s = ec * m + S, as S < m
     else:
@@ -254,26 +255,26 @@ def _scan_binary64(args: tuple[int, int, bool, int, int]) -> tuple[int, int, int
             if not lo <= rho_hat <= hi:
                 keep(rho_hat, k, v, s // m)
 
-    def probe(k):
-        return next(_walks(k, k + 1, spacing, weights, c_lo))
-
     if runs:
+
+        def probe(k):
+            return next(_walks(k, k + 1, spacing, weights, c_lo))
+
         probes = [probe(k_hi - 1), probe(k_lo)]
     else:
         walk(k_lo, k_hi)
         probes = []
     # Candidate k has been visited, and probes holds walked candidates
     # beyond it, the nearest last.  Up to a probe with k's s lies a run,
-    # visited without branches if it is worth its constants.  A longer
-    # stretch up to any other probe is split in two; a shorter one is
-    # walked.  So no candidate is walked twice.
+    # visited without branches; the stretch up to any other probe is split
+    # in two.  So no candidate is walked twice.
     k, s, run_s = k_lo - 1, None, None  # run_s: the run constants' s
     while probes:
         q, rho_q, v_q, s_q = probes[-1]
         gap = q - k - 1
-        if s_q == s and (s == run_s or gap >= _MIN_RUN):
+        if s_q == s:
             if s != run_s:
-                c1, head, last, unscale = _run_constants(1.0 + k * spacing, nm1, c_lo)
+                c1, consts, unscale = _run_constants(1.0 + k * spacing, nm1, c_lo)
                 run_s, ec = s, s // m
             # Two candidates at a time, x and y; an odd last one is walked.
             x = 1.0 + (k + 1) * spacing
@@ -283,18 +284,7 @@ def _scan_binary64(args: tuple[int, int, bool, int, int]) -> tuple[int, int, int
                 f = y * y
                 v = e + c1 - c1
                 w = f + c1 - c1
-                if head:
-                    for block, scale in head:
-                        for c in block:
-                            v = x * v + c - c
-                            w = y * w + c - c
-                            e *= x
-                            f *= y
-                        v *= scale
-                        w *= scale
-                        e *= scale
-                        f *= scale
-                for c in last:
+                for c in consts:
                     v = x * v + c - c
                     w = y * w + c - c
                     e *= x
@@ -308,11 +298,9 @@ def _scan_binary64(args: tuple[int, int, bool, int, int]) -> tuple[int, int, int
                 x = y + spacing
             if gap % 2:
                 walk(q - 1, q)
-        elif gap > _MIN_RUN:
+        elif gap:
             probes.append(probe((k + q) // 2))
             continue
-        elif gap:
-            walk(k + 1, q)
         probes.pop()
         if not lo <= rho_q <= hi:
             keep(rho_q, q, v_q, s_q // m)
@@ -365,33 +353,26 @@ def _walks(
         x += spacing
 
 
-def _run_constants(x: float, nm1: int, c_lo: float) -> tuple[float, list, list, float]:
+def _run_constants(x: float, nm1: int, c_lo: float) -> tuple[float, list, float]:
     """The branch-free loop's constants for the run that holds x.
 
-    Returns (c1, head, last, unscale).  c1 rounds the first product x * x.
-    The later steps go in blocks of _BLOCK: head pairs each block but the
-    last with its constants C_j and the power of two that then brings v
-    back into [1, 2].  last holds the last block's constants, and unscale
-    is the power of two that brings the final v into [1, 2].
+    Returns (c1, consts, unscale): c1 rounds the first product x * x,
+    consts holds C_j for each later step j, and unscale = 2**-ec brings
+    the final v into [1, 2].
     """
     z = x * x
     top, c = (4.0, 2.0 * c_lo) if z >= 2.0 else (2.0, c_lo)
     c1 = c
     v = z + c - c
-    head = []
-    last = []
+    consts = []
     for _ in range(nm1 - 1):
-        if len(last) == _BLOCK:
-            head.append((last, 2.0 / top))
-            v *= 2.0 / top
-            top, c, last = 2.0, c_lo, []
         z = x * v
         if z >= top:  # z < 2 * top, as x < 2 and v <= top
             top += top
             c += c
         v = z + c - c
-        last.append(c)
-    return c1, head, last, 2.0 / top
+        consts.append(c)
+    return c1, consts, 2.0 / top
 
 
 def _band(t: float, gamma: float) -> tuple[float, float]:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import tempfile
 import tracemalloc
@@ -182,6 +183,47 @@ class TestScanChunkInternals:
         assert r.violations == 1
 
 
+class TestExactKernel:
+    """``_scan_exact`` ranks errors by their float quotients first; its best
+    and violation count must be those of an exact ranking of the errors."""
+
+    @staticmethod
+    def ranked(p, n, ties_away, k_lo, k_hi):
+        errs = []
+        for k in range(k_lo, k_hi):
+            num, den, _, _ = _scan_exact((p, n, ties_away, k, k + 1))
+            errs.append(Fraction(num, den))
+        num, den, best_k, viol = _scan_exact((p, n, ties_away, k_lo, k_hi))
+        assert Fraction(num, den) == max(errs)
+        assert best_k == k_lo + errs.index(max(errs))
+        assert viol == sum(err > n - 1 for err in errs)
+        return errs
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        p=st.integers(27, 40),
+        n=st.integers(100, 600),
+        ties_away=st.booleans(),
+        data=st.data(),
+    )
+    def test_large_n_windows(self, p, n, ties_away, data):
+        k_lo = data.draw(st.integers(0, (1 << (p - 1)) - 8), label="k_lo")
+        width = data.draw(st.integers(2, 8), label="width")
+        self.ranked(p, n, ties_away, k_lo, k_lo + width)
+
+    def test_errors_beyond_float_range(self):
+        # Five of these errors pass 2**1024 ulps, where the float quotient
+        # overflows; the largest of them is neither the first nor the last.
+        errs = self.ranked(4, 90000, True, 0, 8)
+        huge = [k for k, err in enumerate(errs) if err > 1 << 1024]
+        assert len(huge) == 5 and huge[0] < errs.index(max(errs)) < huge[-1]
+
+    def test_equal_errors_keep_the_smallest_k(self):
+        # At n = 1 every error is 0.
+        for p, k_lo in ((27, 0), (33, 12345), (40, 1 << 38)):
+            assert self.ranked(p, 1, False, k_lo, k_lo + 5)[0] == 0
+
+
 def _both_kernels(p, n, k_lo, k_hi):
     """The binary64 kernel's tuple, after checking it equals the integer kernel's."""
     args = (p, n, False, k_lo, k_hi)
@@ -353,9 +395,8 @@ def _binades(x, n, p):
 
 @pytest.fixture
 def forced_runs(monkeypatch):
-    """Look for runs in every range of two or more candidates, and run every
-    stretch that shares its s once it has ``min_run`` candidates or more
-    (0: every one, however short; otherwise short ones are walked)."""
+    """Look for runs, at n <= ``_RUN_MAX_N``, in every range of ``min_run`` + 2
+    candidates or more, whatever the binade's runs average."""
 
     def force(min_run):
         monkeypatch.setattr(search, "_RUN_GATE", 0)
@@ -379,42 +420,45 @@ class TestRunKernel:
                 for lo in range(0, space, size):
                     _both_kernels(p, n, lo, min(space, lo + size))
 
-    @pytest.mark.parametrize("n", [256, 257, 258, 259, 512, 513, 514, 515, 1100])
-    def test_rescaled_blocks(self, n, forced_runs, monkeypatch):
-        # Windows at the top of the binade, where x**1100 passes 2**1024:
-        # without the rescaling v and e would overflow.  The first step is
-        # peeled off, so n = 259 and n = 515 are the first with one and two
-        # full blocks before the last.  The estimates are the branching
-        # loop's, so the filter still keeps few candidates for pass 2.
+    # At p = 2, n = 1100 is past the binary64 kernel's range gate.
+    GATE_CASES = [(p, n) for p in (2, 24, 26) for n in (259, 515, 969, 970, 1100)
+                  if n <= (1 << (p + 8)) + 1]
+
+    @pytest.mark.parametrize("p,n", GATE_CASES)
+    def test_runs_only_where_the_constants_stay_finite(self, p, n, forced_runs, monkeypatch):
+        # Windows at the top of the binade, where x is near 2 and so every
+        # b_j is near j: the largest constants any run at this n can need.
+        # At p = 2 the two candidates, 1 and 1.5, never share their s.  The
+        # estimates are the branching loop's, so the filter still keeps few
+        # candidates.
         built, kept = [], []
 
         def spy(*args):
-            consts = run_constants(*args)
-            built.append(len(consts[1]))
-            return consts
+            c1, consts, unscale = run_constants(*args)
+            built.append(all(map(math.isfinite, (c1, *consts, unscale))))
+            return c1, consts, unscale
 
         run_constants, error_floor = search._run_constants, search._error_floor
         monkeypatch.setattr(search, "_run_constants", spy)
         monkeypatch.setattr(search, "_error_floor", lambda *a: kept.append(a) or error_floor(*a))
-        p = 24
         space = 1 << (p - 1)
         for min_run in (0, 8):
             forced_runs(min_run)
             kept.clear()
-            _both_kernels(p, n, space - 48, space)
+            _both_kernels(p, n, max(0, space - 48), space)
             assert len(kept) <= 4
-        assert built and set(built) == {(n - 3) // search._BLOCK}
+        assert all(built)
+        assert search._RUN_MAX_N == 969
+        assert bool(built) == (n <= 969 and p > 2)
 
     @pytest.mark.parametrize("p", [2, 3])
-    def test_at_the_range_gate(self, p, forced_runs):
+    def test_at_the_range_gate(self, p):
+        # n = 2**(p+8) + 1 is past _RUN_MAX_N, so every candidate is walked.
         n = (1 << (p + 8)) + 1
         space = 1 << (p - 1)
-        for min_run in (None, 0):
-            if min_run is not None:
-                forced_runs(min_run)
-            for size in (1, 2, space):
-                for lo in range(0, space, size):
-                    _both_kernels(p, n, lo, min(space, lo + size))
+        for size in (1, 2, space):
+            for lo in range(0, space, size):
+                _both_kernels(p, n, lo, min(space, lo + size))
 
     @settings(max_examples=60, deadline=None)
     @given(
