@@ -24,9 +24,9 @@ even-tie-breaking does and away-tie-breaking does not.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
 
 from .algorithms import DOWN, iterated_product, step_directions
 from .exact import relative_error

@@ -194,6 +194,9 @@ _SEARCH_COLUMNS = (
     ("violations", itemgetter("violations")),
 )
 
+# Half-width of a search --around window when --radius is not given.
+_DEFAULT_RADIUS = 4096
+
 
 def _cmd_search(args: argparse.Namespace) -> tuple[int, str]:
     mode = RoundingMode(args.mode)
@@ -205,19 +208,25 @@ def _cmd_search(args: argparse.Namespace) -> tuple[int, str]:
         )
     if args.jobs < 1:
         raise CliError(f"--jobs must be >= 1, got {args.jobs}")
-    if args.radius < 0:
-        raise CliError(f"--radius must be >= 0, got {args.radius}")
+    if args.radius is not None:
+        if args.radius < 0:
+            raise CliError(f"--radius must be >= 0, got {args.radius}")
+        if args.around is None:
+            raise CliError(
+                "--radius needs --around; without it the whole binade is scanned"
+            )
     _check_precision(args.p)
     k_start, k_stop = 0, None
     if args.around is not None:
+        radius = _DEFAULT_RADIUS if args.radius is None else args.radius
         center = args.around - (1 << (args.p - 1))
         if not 0 <= center < 1 << (args.p - 1):
             raise CliError(
                 f"--around {args.around} is not a precision-{args.p} significand "
                 f"in [2^{args.p - 1}, 2^{args.p})"
             )
-        k_start = max(0, center - args.radius)
-        k_stop = min(1 << (args.p - 1), center + args.radius + 1)
+        k_start = max(0, center - radius)
+        k_stop = min(1 << (args.p - 1), center + radius + 1)
     rows = []
     for n in ns:
         r = exhaustive_max_error(
@@ -490,7 +499,11 @@ def _build_parser() -> _Parser:
     s.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     s.add_argument("--checkpoint", help="resumable state file (single n only)")
     s.add_argument("--around", type=int, help="scan only near this significand")
-    s.add_argument("--radius", type=int, default=4096, help="window half-width")
+    s.add_argument(
+        "--radius",
+        type=int,
+        help=f"half-width of the --around window (default {_DEFAULT_RADIUS})",
+    )
     s.add_argument(
         "--force", action="store_true", help=f"override the p<={PRECISION_GUARD} guard"
     )

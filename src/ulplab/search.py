@@ -100,12 +100,10 @@ import json
 import math
 import os
 import sys
-import tempfile
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
 
 from .algorithms import naive_power
 from .exact import _lowest_terms, relative_error
@@ -425,8 +423,18 @@ def _merge(
     return num, den, k, viol + pviol
 
 
+def _pool(workers: int) -> concurrent.futures.ProcessPoolExecutor:
+    # Imported here, so that only a scan that starts a pool loads the
+    # process-pool modules, and every other command starts without them.
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers)
+
+
 def _pooled(
-    pool: ProcessPoolExecutor, chunks: Iterable[tuple[int, int, bool, int, int]], depth: int
+    pool: concurrent.futures.ProcessPoolExecutor,
+    chunks: Iterable[tuple[int, int, bool, int, int]],
+    depth: int,
 ) -> Iterator[tuple[tuple[int, int, bool, int, int], tuple[int, int, int, int]]]:
     """Yield (chunk, _scan_chunk(chunk)) in order, scanned in ``pool`` with
     at most ``depth`` chunks submitted and not yet taken."""
@@ -443,6 +451,8 @@ def _pooled(
 def _write_checkpoint(path: str, payload: dict) -> None:
     # A unique temp file in the same directory, synced before the rename,
     # so a crash leaves either the old checkpoint or the new one.
+    import tempfile
+
     fd, tmp = tempfile.mkstemp(
         dir=os.path.dirname(path) or ".", prefix=os.path.basename(path) + "."
     )
@@ -564,7 +574,7 @@ def exhaustive_max_error(
     workers = min(jobs, -(-(k_stop - next_k) // chunk_size))
     if workers > 1:
         workers = min(workers, os.cpu_count() or 1)
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    pool = _pool(workers) if workers > 1 else None
     try:
         if pool:
             parts = _pooled(pool, chunks, 2 * workers)

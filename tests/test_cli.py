@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from fractions import Fraction
 from pathlib import Path
 
@@ -610,6 +611,39 @@ class TestMainEntry:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["n_max"] == 2088
 
+    def test_pool_modules_load_only_when_a_scan_starts_a_pool(self, tmp_path):
+        # -S: a site-packages .pth file may import tempfile or typing itself.
+        # The CPU count is pinned so that --jobs 2 starts a pool on any host.
+        script = textwrap.dedent("""
+            import json, os, sys
+            sys.path.insert(0, sys.argv[1])
+            import ulplab.cli
+
+            def loaded():
+                heavy = {"concurrent", "multiprocessing", "tempfile", "typing"}
+                return sorted(m for m in sys.modules if m.partition(".")[0] in heavy)
+
+            argv = ["search", "--p", "8", "--n", "3", "--chunk-size", "16"]
+            at_import = loaded()
+            serial = ulplab.cli.run(argv + ["--jobs", "1"])
+            after_serial = loaded()
+            os.cpu_count = lambda: 2
+            ck = os.path.join(sys.argv[2], "ck.json")
+            pooled = ulplab.cli.run(argv + ["--jobs", "2", "--checkpoint", ck])
+            after_pool = loaded()
+            print(json.dumps([at_import, after_serial, pooled == serial, after_pool]))
+        """)
+        src = str(Path(cli.__file__).parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", script, src, str(tmp_path)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        at_import, after_serial, same, after_pool = json.loads(proc.stdout)
+        assert at_import == after_serial == []
+        assert same
+        assert {"concurrent.futures", "tempfile"} <= set(after_pool)
+
 
 # Commands over MAX_DIGITS, counted over all their rows together, over
 # MAX_EXACT_BITS, which bounds the largest exact value a command builds, or
@@ -751,6 +785,8 @@ class TestSearchValidation:
             (["--jobs", "-2"], "--jobs must be >= 1, got -2"),
             (["--around", "200", "--radius", "-5"], "--radius must be >= 0, got -5"),
             (["--radius", "-1"], "--radius must be >= 0, got -1"),
+            (["--radius", "5"],
+             "--radius needs --around; without it the whole binade is scanned"),
         ],
     )
     def test_bad_search_option_exits_2_before_scanning(

@@ -683,11 +683,12 @@ def test_resume_after_any_chunk_equals_a_clean_scan(p, n, mode, data):
 
 
 class QueueingPool:
-    """Stands in for ProcessPoolExecutor and runs chunks in-process.  Like the
-    real pool, ``submit`` queues a chunk, a chunk's result is ready once it
-    and every chunk queued before it have run, and ``shutdown`` runs what is
-    still queued unless ``cancel_futures`` is set.  ``ran`` counts the
-    chunks run, and ``most_queued`` is the most chunks queued at once."""
+    """Stands in for the ProcessPoolExecutor that ``search._pool`` builds,
+    and runs chunks in-process.  Like the real pool, ``submit`` queues a
+    chunk, a chunk's result is ready once it and every chunk queued before
+    it have run, and ``shutdown`` runs what is still queued unless
+    ``cancel_futures`` is set.  ``ran`` counts the chunks run, and
+    ``most_queued`` is the most chunks queued at once."""
 
     def __init__(self, max_workers):
         self.max_workers = max_workers
@@ -739,7 +740,7 @@ class TestPool:
     @pytest.fixture(autouse=True)
     def queueing_pool(self, monkeypatch):
         POOLS.clear()
-        monkeypatch.setattr(search, "ProcessPoolExecutor", QueueingPool)
+        monkeypatch.setattr(search, "_pool", QueueingPool)
 
     class Stop(Exception):
         pass
