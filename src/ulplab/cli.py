@@ -216,6 +216,11 @@ def _cmd_search(args: argparse.Namespace) -> tuple[int, str]:
                 "--radius needs --around; without it the whole binade is scanned"
             )
     _check_precision(args.p)
+    if args.p > PRECISION_GUARD and not args.force:
+        raise CliError(
+            f"--p {args.p} exceeds the scan guard ({PRECISION_GUARD}); "
+            "pass --force for a deliberately large run"
+        )
     k_start, k_stop = 0, None
     if args.around is not None:
         radius = _DEFAULT_RADIUS if args.radius is None else args.radius

@@ -12,14 +12,16 @@ outcome.
 A range is scanned by one of two kernels that return identical results:
 
 * ``_scan_exact`` runs the power iteration in integer arithmetic and
-  scores every candidate exactly.  It serves TIES_AWAY, p > 26, n = 1,
-  and n beyond the binary64 kernel's range gate, and it is the reference
-  the binary64 kernel is tested against.
-* ``_scan_binary64`` serves TIES_EVEN at p <= 26.  It assumes IEEE 754
-  binary64 floats with round-to-nearest-even, which is what CPython's
-  float is on every supported platform.  It runs the iteration in
-  doubles, estimates each candidate's error with a proven bound, and
-  scores exactly only the few candidates the bound cannot rule out.
+  scores every candidate exactly.  It serves p > 26, TIES_AWAY at p = 26,
+  n = 1, and n beyond the binary64 kernel's gates, and it is the
+  reference the binary64 kernel is tested against.  At p = 53, TIES_EVEN,
+  its step is the double product (below).
+* ``_scan_binary64`` serves TIES_EVEN at p <= 26, and TIES_AWAY at
+  p <= 25 with n * 2**12 <= 2**(2p).  It assumes IEEE 754 binary64 floats
+  with round-to-nearest-even, which is what CPython's float is on every
+  supported platform.  It runs the iteration in doubles, estimates each
+  candidate's error with a proven bound, and scores exactly only the few
+  candidates the bound cannot rule out.
 
 Why the binary64 iteration is exact.  With x = X * 2**(1-p) in [1, 2) and
 the running value v in [1, 2] both p-bit doubles, z = x * v has at most
@@ -32,6 +34,38 @@ an even multiple of that spacing), and the subtraction is exact.  For z in
 ``ec`` goes up by one.  So v * 2**ec is the correctly rounded power, step
 for step the same value as the integer kernel's.
 
+Why xa rounds ties away.  At TIES_AWAY the kernel runs on xa = x + a,
+a = 2**-2p, in place of x: v starts at xa, and each step rounds xa * v.
+xa has 2p + 1 <= 51 bits, so it and its steps by 2**(1-p) are exact.
+Take a step whose v is a p-bit value in [2**c, 2**(c+1)] (c = 0 in the
+branching loop, b_{j-1} in a run, below).  Then z = x * v is a multiple
+of g = 2**(c+2-2p), and so is every p-bit value and every midpoint
+between two of them in z's binade, c or c + 1.  xa * v = z + a * v lies
+in [z + g/4, z + g/2], and both ends are doubles (multiples of g/4 below
+2**(c+2): 2p + 2 <= 52 bits), so the double product w lies there too.
+The first step's v is xa: there xa * xa = z + a * (2x + a), z = x * x,
+lies in (z + g/2, z + g), so w lies in (z, z + g].  w = z + g needs
+z + g - xa * xa = a * (4 - 2x - a), which is above 2**(1-3p), to be at
+most half an ulp, 2**-52: so p >= 18, and x = 2 - j * 2**(1-p) with z in
+[2, 4).  Then z + g is a midpoint only if j**2 + 1 is an odd multiple of
+2**(p-1), and j**2 + 1 is never a multiple of 4.  So no midpoint lies in
+(z, w]: w rounds to p bits as z does if z is no midpoint, and up, which
+is away from zero, if z is one.  As w is never a midpoint itself,
+``(w + C) - C`` rounds it so under any tie rule.  2**(c+1) is a multiple
+of g, so w >= 2**(c+1) exactly when z >= 2**(c+1): the branches, and with
+them ec and S, do not move.  Ties-away rounding is monotone too, so the
+runs below hold unchanged.  TIES_EVEN passes a = 0: its loops do no extra
+operation.
+
+Why the p = 53 step is the double product.  At p = 53 every candidate x and
+every running v in [1, 2) is a double, so the double product x * v is the
+53-bit, ties-to-even rounding of the exact product: the integer kernel's
+step.  It is below 4 - 2**-50, a double, so it rounds below 4; when it is
+2 or more, v is halved, exactly, and ec goes up by one.  So v stays in
+[1, 2), and v * 2**ec is the integer kernel's value, scored by the same
+formula.  TIES_AWAY keeps the integer step there, and so do p = 27 .. 52,
+where ``(w + C) - C`` would round the rounded product w a second time.
+
 Why runs may skip the branches.  Let b_j be the binade of the exact
 product z_j at step j, so the branch halves v at step j exactly when
 b_j > b_{j-1} (b_0 = 0), and ec ends as b_{n-1}.  Rounding is monotone, so
@@ -42,8 +76,8 @@ extra operation: its one counter s gains w_j = m + n - j at each step j
 that halves v, where m = n(n-1)/2 + 1; since b_j counts the halvings up to
 step j, s = ec * m + S with S < m.  Inside a run every step is
 ``v = x * v + C_j - C_j``, with C_j = 1.5 * 2**(53-p+b_j), and ``e *= x``:
-no compare, no halving, no ec.  The first product x * x is exact, so it is
-also e after step 1.  Without the halvings v and e grow as x**n, so runs
+no compare, no halving, no ec.  The first product x * x, exact at
+TIES_EVEN, is the walk's e after step 1 too.  Without the halvings v and e grow as x**n, so runs
 are looked for only where n <= ``_RUN_MAX_N`` = 969: then b_j <= 968, and
 for every p >= 2 each C_j and z + C_j stay below 2**1021.  Scaling by a
 power of two is exact and commutes with rounding among such normal values,
@@ -72,7 +106,12 @@ rho lies in [rho_hat / (1 + gamma_n), rho_hat / (1 - gamma_n)].  Hence
 
     (1 - t) * (1 + gamma_n) <= rho_hat <= (1 + t) * (1 - gamma_n)
 
-implies |rho - 1| <= t.  The kernel runs in two passes over a range.
+implies |rho - 1| <= t.  At TIES_AWAY e runs on xa, from xa, and ends as
+xa**n / 2**ec.  As xa / x <= 1 + a, (x / xa)**n lies in [1 - n*a, 1], so
+rho_hat = rho * (1 + theta) with -(gamma_n + n*a) <= theta <= gamma_n:
+the kernel puts gamma_n + n*a for gamma_n.  Its gate n * 2**12 <= 2**(2p)
+keeps n*a <= 2**-12, far below 1, as ``_band`` and ``_error_floor`` need.
+The kernel runs in two passes over a range.
 
 * Pass 1 iterates every candidate in doubles.  Each kept candidate's
   rho_hat also gives a floor, a lower bound on its |rho - 1|
@@ -133,7 +172,8 @@ class SearchReport:
 
 
 # Precisions whose significand products are exact doubles (2p <= 52 bits):
-# at these, TIES_EVEN scans run the binary64 kernel.
+# at these, TIES_EVEN scans run the binary64 kernel.  TIES_AWAY scans need
+# 2p + 1 bits (the module docstring), so they run it at p < 26.
 _BINARY64_MAX_P = 26
 
 # Relative nudge that moves the binary64 filter's thresholds outward; it
@@ -157,12 +197,17 @@ def _scan_chunk(args: tuple[int, int, bool, int, int]) -> tuple[int, int, int, i
 
     Returns (best_num, best_den, best_k, violations) where best_num/best_den
     is the largest error in ulps over the range (unreduced) and best_k the
-    smallest k attaining it.  TIES_EVEN at p <= 26 with 2 <= n <= 2**(p+8) + 1
-    runs ``_scan_binary64``; everything else runs ``_scan_exact``.  Both
-    return the same tuple; the module docstring gives the proof.
+    smallest k attaining it.  With 2 <= n <= 2**(p+8) + 1, TIES_EVEN at
+    p <= 26 and TIES_AWAY at p <= 25 with n * 2**12 <= 2**(2p) run
+    ``_scan_binary64``; everything else runs ``_scan_exact``.  Both return
+    the same tuple; the module docstring gives the proof.
     """
     p, n, ties_away = args[:3]
-    if not ties_away and p <= _BINARY64_MAX_P and 2 <= n <= (1 << (p + 8)) + 1:
+    if ties_away:
+        fast = p < _BINARY64_MAX_P and n << 12 <= 1 << 2 * p
+    else:
+        fast = p <= _BINARY64_MAX_P
+    if fast and 2 <= n <= (1 << (p + 8)) + 1:
         return _scan_binary64(args)
     return _scan_exact(args)
 
@@ -172,7 +217,8 @@ def _scan_exact(args: tuple[int, int, bool, int, int]) -> tuple[int, int, int, i
 
     The power iteration tracks (significand, exponent) pairs and the error
     in ulps of candidate k, ranked as ``_merge`` ranks errors, is
-    |Xc * 2**(ec + (n-1)(p-1)) - X0**n| * 2**p / X0**n.
+    |Xc * 2**(ec + (n-1)(p-1)) - X0**n| * 2**p / X0**n.  At p = 53, TIES_EVEN,
+    the step is the double product (the module docstring).
     """
     p, n, ties_away, k_lo, k_hi = args
     half_sig = 1 << (p - 1)
@@ -182,24 +228,35 @@ def _scan_exact(args: tuple[int, int, bool, int, int]) -> tuple[int, int, int, i
     best_num, best_den, best_k, best = -1, 1, -1, -1.0  # best: the float quotient
     violations = 0
     nm1 = n - 1
+    hardware = p == 53 and not ties_away
     for k in range(k_lo, k_hi):
         X0 = half_sig + k
-        Xc, ec = X0, 0
-        for _ in range(nm1):
-            P = X0 * Xc
-            bits = P.bit_length()
-            if bits == full_bits:
-                ec += 1
-            shift = bits - p
-            q = P >> shift
-            r = P - (q << shift)
-            half = 1 << (shift - 1)
-            if r > half or (r == half and (ties_away or q & 1)):
-                q += 1
-                if q == top:
-                    q = half_sig
+        if hardware:
+            x = v = X0 * 2.0**-52
+            ec = 0
+            for _ in range(nm1):
+                v *= x
+                if v >= 2.0:
+                    v *= 0.5
                     ec += 1
-            Xc = q
+            Xc = int(v * 2.0**52)
+        else:
+            Xc, ec = X0, 0
+            for _ in range(nm1):
+                P = X0 * Xc
+                bits = P.bit_length()
+                if bits == full_bits:
+                    ec += 1
+                shift = bits - p
+                q = P >> shift
+                r = P - (q << shift)
+                half = 1 << (shift - 1)
+                if r > half or (r == half and (ties_away or q & 1)):
+                    q += 1
+                    if q == top:
+                        q = half_sig
+                        ec += 1
+                Xc = q
         x_pow = X0**n
         err_num = abs((Xc << (ec + expo_scale)) - x_pow) << p
         try:
@@ -214,14 +271,17 @@ def _scan_exact(args: tuple[int, int, bool, int, int]) -> tuple[int, int, int, i
 
 
 def _scan_binary64(args: tuple[int, int, bool, int, int]) -> tuple[int, int, int, int]:
-    """Binary64 kernel for TIES_EVEN at p <= 26: iterate in doubles, keep
-    what the gamma_n filter cannot rule out, then score the kept candidates
-    exactly, largest estimate first (see the module docstring)."""
-    p, n, _, k_lo, k_hi = args
+    """Binary64 kernel for TIES_EVEN at p <= 26 and TIES_AWAY at p <= 25:
+    iterate in doubles, keep what the gamma_n filter cannot rule out, then
+    score the kept candidates exactly, largest estimate first (see the
+    module docstring)."""
+    p, n, ties_away, k_lo, k_hi = args
     nm1 = n - 1
     spacing = 2.0 ** (1 - p)
     c_lo = 1.5 * 2.0 ** (53 - p)  # rounds z in [1, 2) to p bits
-    gamma = n * 2.0**-53 / (1.0 - n * 2.0**-53) * (1.0 + _NUDGE)  # >= gamma_n
+    # TIES_AWAY iterates on xa = x + tie in place of x (the module docstring).
+    tie = 2.0 ** (-2 * p) if ties_away else 0.0
+    gamma = _gamma(n, tie)
     t_viol = nm1 * 2.0**-p  # the (n-1)-ulp line as a relative error, exactly
     # A walk adds weights[i] to s at each step i that halves v.  S climbs
     # from 0 to at most m - 1 over the binade, so its runs average at least
@@ -249,14 +309,14 @@ def _scan_binary64(args: tuple[int, int, bool, int, int]) -> tuple[int, int, int
             lo, hi = _band(min(t, t_viol), gamma)
 
     def walk(a, b):  # walk and visit candidates a .. b-1
-        for k, rho_hat, v, s in _walks(a, b, spacing, weights, c_lo):
+        for k, rho_hat, v, s in _walks(a, b, spacing, weights, c_lo, tie):
             if not lo <= rho_hat <= hi:
                 keep(rho_hat, k, v, s // m)
 
     if runs:
 
         def probe(k):
-            return next(_walks(k, k + 1, spacing, weights, c_lo))
+            return next(_walks(k, k + 1, spacing, weights, c_lo, tie))
 
         probes = [probe(k_hi - 1), probe(k_lo)]
     else:
@@ -272,13 +332,13 @@ def _scan_binary64(args: tuple[int, int, bool, int, int]) -> tuple[int, int, int
         gap = q - k - 1
         if s_q == s:
             if s != run_s:
-                c1, consts, unscale = _run_constants(1.0 + k * spacing, nm1, c_lo)
+                c1, consts, unscale = _run_constants(1.0 + k * spacing + tie, nm1, c_lo)
                 run_s, ec = s, s // m
             # Two candidates at a time, x and y; an odd last one is walked.
-            x = 1.0 + (k + 1) * spacing
+            x = 1.0 + (k + 1) * spacing + tie
             for j in range(k + 1, q - 1, 2):
                 y = x + spacing
-                e = x * x  # exact, so also the first product to round
+                e = x * x  # also the first product to round
                 f = y * y
                 v = e + c1 - c1
                 w = f + c1 - c1
@@ -327,13 +387,14 @@ def _scan_binary64(args: tuple[int, int, bool, int, int]) -> tuple[int, int, int
 
 
 def _walks(
-    k_lo: int, k_hi: int, spacing: float, weights: range | bytes, c_lo: float
+    k_lo: int, k_hi: int, spacing: float, weights: range | bytes, c_lo: float, tie: float = 0.0
 ) -> Iterator[tuple[int, float, float, int]]:
     """Yield (k, rho_hat, v, s) for each candidate k in [k_lo, k_hi), by the
     branching loop: v in [1, 2] is the computed power over 2**ec, and s adds
-    weights[i] at each step i that halves v."""
+    weights[i] at each step i that halves v.  The loop runs on
+    x = 1 + k * spacing + tie; tie = 2**-2p makes ties round away."""
     c_hi = 2.0 * c_lo  # rounds z in [2, 4) to p bits
-    x = 1.0 + k_lo * spacing
+    x = 1.0 + k_lo * spacing + tie
     for k in range(k_lo, k_hi):
         x_half = 0.5 * x
         v = e = x
@@ -371,6 +432,12 @@ def _run_constants(x: float, nm1: int, c_lo: float) -> tuple[float, list, float]
         v = z + c - c
         consts.append(c)
     return c1, consts, 2.0 / top
+
+
+def _gamma(n: int, tie: float) -> float:
+    """The filter's slack, gamma_n + n * tie, nudged up: e tracks xa**n,
+    at most n * tie above x**n relatively (the module docstring)."""
+    return (n * 2.0**-53 / (1.0 - n * 2.0**-53) + n * tie) * (1.0 + _NUDGE)
 
 
 def _band(t: float, gamma: float) -> tuple[float, float]:

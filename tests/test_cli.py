@@ -163,6 +163,15 @@ class TestSearchCommand:
         with pytest.raises(CliError, match="force"):
             run(["search", "--p", "30", "--n", "3"])
 
+    def test_precision_guard_names_the_flag(self, capsys):
+        # The library's keyword is force=True; the command line's is --force.
+        assert main(["search", "--p", "53", "--n", "6", "--around", "4507062722867963"]) == 2
+        err = capsys.readouterr().err
+        assert "pass --force" in err and "force=True" not in err
+        code, _ = run(["search", "--p", "53", "--n", "6", "--around", "4507062722867963",
+                       "--radius", "2", "--force"])
+        assert code == 0
+
     def test_jobs_and_chunking_do_not_change_bytes(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 8)  # 8 workers on any host
         argv = ["search", "--p", "12", "--n", "4..6", "--format", "json",

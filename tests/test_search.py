@@ -21,6 +21,7 @@ from ulplab import (
     spot_error,
     to_decimal,
 )
+from ulplab.bounds import n_max
 from ulplab.cli import run
 from ulplab.search import _merge, _scan_binary64, _scan_chunk, _scan_exact
 from oracle import oracle_error_ulps, oracle_max_power_error, oracle_power, oracle_round
@@ -224,9 +225,9 @@ class TestExactKernel:
             assert self.ranked(p, 1, False, k_lo, k_lo + 5)[0] == 0
 
 
-def _both_kernels(p, n, k_lo, k_hi):
+def _both_kernels(p, n, k_lo, k_hi, mode=EVEN):
     """The binary64 kernel's tuple, after checking it equals the integer kernel's."""
-    args = (p, n, False, k_lo, k_hi)
+    args = (p, n, mode is AWAY, k_lo, k_hi)
     fast = _scan_binary64(args)
     assert fast == _scan_exact(args), args
     return fast
@@ -234,6 +235,20 @@ def _both_kernels(p, n, k_lo, k_hi):
 
 def _window(p, k, radius):
     return max(0, k - radius), min(1 << (p - 1), k + radius + 1)
+
+
+def _away_n_cap(p):
+    """The largest n of the binary64 kernel's TIES_AWAY gate, n * 2**12 <= 2**(2p)."""
+    return 1 << (2 * p - 12)
+
+
+def _away_params(data):
+    """(p, n) inside the binary64 kernel's TIES_AWAY gates."""
+    p = data.draw(st.integers(7, 25), label="p")
+    cap = _away_n_cap(p)
+    n = data.draw(st.integers(2, min(40, cap)) | st.sampled_from([100, 600, 970])
+                  .map(lambda n: min(n, cap)), label="n")
+    return p, n
 
 
 class TestBinary64Kernel:
@@ -247,10 +262,23 @@ class TestBinary64Kernel:
         width = data.draw(st.integers(1, 64 if n <= 40 else 6), label="width")
         _both_kernels(p, n, k_lo, min(space, k_lo + width))
 
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_ties_away_matches_integer_kernel_on_random_windows(self, data):
+        p, n = _away_params(data)
+        space = 1 << (p - 1)
+        k_lo = data.draw(st.integers(0, space - 1), label="k_lo")
+        width = data.draw(st.integers(1, 64 if n <= 40 else 6), label="width")
+        _both_kernels(p, n, k_lo, min(space, k_lo + width), AWAY)
+
     def test_matches_integer_kernel_on_whole_binades(self):
         for p in range(2, 11):
             for n in (2, 3, 5, 8, 13):
                 _both_kernels(p, n, 0, 1 << (p - 1))
+        for p in range(7, 14):  # TIES_AWAY, inside its n gate
+            for n in (2, 3, 4, 5, 8, 13):
+                if n <= _away_n_cap(p):
+                    _both_kernels(p, n, 0, 1 << (p - 1), AWAY)
 
     @pytest.mark.parametrize("p", [8, 12, 16, 20, 24, 26])
     def test_exact_product_ties_at_even_p(self, p):
@@ -267,11 +295,12 @@ class TestBinary64Kernel:
             x = Fraction(X0, 1 << (p - 1))
             assert oracle_round(x * x, p) != oracle_round(x * x, p, ties_away=True)
             k = X0 - (1 << (p - 1))
-            for n in (2, 3, 7):
-                num, den, _, _ = _both_kernels(p, n, k, k + 1)
-                want = oracle_error_ulps(oracle_power(x, n, p), x**n, p)
-                assert Fraction(num, den) == want
-                _both_kernels(p, n, *_window(p, k, 8))
+            for mode in (EVEN, AWAY) if p <= 25 else (EVEN,):  # TIES_AWAY: p <= 25
+                for n in (2, 3, 7):
+                    num, den, _, _ = _both_kernels(p, n, k, k + 1, mode)
+                    want = oracle_error_ulps(oracle_power(x, n, p, mode is AWAY), x**n, p)
+                    assert Fraction(num, den) == want
+                    _both_kernels(p, n, *_window(p, k, 8), mode)
 
     # (p, j, k): step j of x = 1 + k * 2**(1-p) rounds up to a power of two,
     # so the significand reaches 2**p and the exponent moves on.
@@ -363,21 +392,119 @@ class TestBinary64Kernel:
         exact = max(r / (1 + gf) - 1, 1 - r / (1 - gf))
         assert Fraction(search._error_floor(rho_hat, g)) <= exact
 
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_widened_slack_bounds_the_ties_away_estimate(self, data):
+        """At TIES_AWAY e runs on xa = x + a, a = 2**-2p, so rho_hat estimates
+        v / xa**n: rho * (1 - gamma_n - n*a) <= rho_hat <= rho * (1 + gamma_n).
+        The kernel's gamma covers both sides, and its floor stays below
+        |rho - 1|."""
+        p, n = _away_params(data)
+        k = data.draw(st.integers(0, (1 << (p - 1)) - 1), label="k")
+        x = Fraction((1 << (p - 1)) + k, 1 << (p - 1))
+        a = Fraction(1, 1 << (2 * p))
+        xa = float(x + a)
+        assert xa == x + a
+        computed = oracle_power(x, n, p, ties_away=True)
+        e = xa
+        for _ in range(n - 1):
+            e *= xa
+        rho_hat = Fraction(float(computed) / e)
+        rho = computed / x**n
+        u = Fraction(1, 1 << 53)
+        gamma = n * u / (1 - n * u)
+        assert rho * (1 - gamma - n * a) <= rho_hat <= rho * (1 + gamma)
+        g = search._gamma(n, float(a))  # the kernel's own slack
+        assert Fraction(g) >= gamma + n * a
+        assert Fraction(search._error_floor(float(rho_hat), g)) <= abs(rho - 1)
+
     def test_dispatch(self, monkeypatch):
         def refuse(args):
             raise AssertionError(f"integer kernel used for {args}")
 
         monkeypatch.setattr(search, "_scan_exact", refuse)
-        _scan_chunk((20, 6, False, 0, 64))
-        _scan_chunk((2, 1025, False, 0, 2))
         for args in (
-            (20, 6, True, 0, 64),  # TIES_AWAY
+            (20, 6, False, 0, 64),
+            (2, 1025, False, 0, 2),  # n - 1 = 2**(p+8)
+            (20, 6, True, 0, 64),
+            (25, 2, True, 0, 64),
+            (7, 4, True, 0, 64),  # n * 2**12 = 2**(2p)
+        ):
+            _scan_chunk(args)
+        for args in (
+            (26, 6, True, 0, 64),  # TIES_AWAY at p = 26
             (27, 6, False, 0, 64),  # p > 26
+            (53, 6, False, 0, 64),
             (20, 1, False, 0, 64),  # n = 1
+            (20, 1, True, 0, 64),
             (2, 1026, False, 0, 2),  # beyond n - 1 <= 2**(p+8)
+            (21, (1 << 29) + 2, True, 0, 2),
+            (7, 5, True, 0, 64),  # beyond n * 2**12 <= 2**(2p)
+            (12, 4097, True, 0, 64),
         ):
             with pytest.raises(AssertionError):
                 _scan_chunk(args)
+
+
+class TestP53:
+    """At p = 53, TIES_EVEN steps by the double product, TIES_AWAY by the
+    integer step; both are checked against ``fp_mul``'s integer step (via
+    ``spot_error``) and the brute-force oracle."""
+
+    TOP = (1 << 52) - 5
+    WINDOWS = [0, TOP, 4507062722867963 - (1 << 52) - 2]
+
+    @pytest.mark.parametrize("mode", [EVEN, AWAY])
+    @pytest.mark.parametrize("n", [2, 3, 6, 100, 2000])
+    def test_windows(self, mode, n):
+        for k_lo in self.WINDOWS:
+            num, den, best_k, viol = _scan_chunk((53, n, mode is AWAY, k_lo, k_lo + 5))
+            errs = [spot_error(FpNumber(1, (1 << 52) + k, 0, 53), n, mode)
+                    for k in range(k_lo, k_lo + 5)]
+            assert Fraction(num, den) == max(errs)
+            assert best_k == k_lo + errs.index(max(errs))
+            assert viol == sum(err > n - 1 for err in errs) == 0
+            if n <= 100:  # the oracle's time grows as n**2: it never rescales
+                x = Fraction((1 << 52) + best_k, 1 << 52)
+                computed = oracle_power(x, n, 53, mode is AWAY)
+                assert Fraction(num, den) == oracle_error_ulps(computed, x**n, 53)
+
+    @pytest.mark.parametrize("mode", [EVEN, AWAY])
+    def test_exact_product_ties(self, mode):
+        # X0 = m * 2**26 with m odd and m**2 > 2**53: the square has 53 bits
+        # to drop, and exactly the top one of them is set.
+        for m in (94906267, 100000001, (1 << 27) - 1):
+            X0 = m << 26
+            x = Fraction(X0, 1 << 52)
+            assert oracle_round(x * x, 53) != oracle_round(x * x, 53, ties_away=True)
+            for n in (2, 3, 7):
+                k = X0 - (1 << 52)
+                num, den, _, _ = _scan_chunk((53, n, mode is AWAY, k, k + 1))
+                want = oracle_error_ulps(oracle_power(x, n, 53, mode is AWAY), x**n, 53)
+                assert Fraction(num, den) == want
+
+    @pytest.mark.parametrize("j,k", [(12, 246644481635288), (1284, 2429960675927)])
+    def test_step_rounding_up_to_two(self, j, k):
+        # Step j of x = 1 + k * 2**-52 multiplies to just below 2 and rounds
+        # to 2, which the double step halves to 1 with ec up by one.
+        x = Fraction((1 << 52) + k, 1 << 52)
+        prev = oracle_power(x, j, 53)
+        assert x * prev < 2
+        assert oracle_power(x, j + 1, 53) == 2
+        for n in (j + 1, j + 2, j + 5):
+            num, den, _, _ = _scan_chunk((53, n, False, k, k + 1))
+            assert Fraction(num, den) == spot_error(FpNumber(1, (1 << 52) + k, 0, 53), n)
+            if n <= 100:
+                assert Fraction(num, den) == oracle_error_ulps(oracle_power(x, n, 53), x**n, 53)
+
+
+@pytest.mark.parametrize("mode", [EVEN, AWAY])
+def test_no_violation_up_to_n_max(mode):
+    """The paper's theorem: below n_max(p), x**n computed naively is within
+    (n-1) ulps for every x, under either tie rule, checked over whole binades."""
+    for p in range(5, 13):
+        for n in range(2, n_max(p) + 1):
+            assert exhaustive_max_error(p, n, mode).violations == 0, (p, n)
 
 
 def _binades(x, n, p):
@@ -419,6 +546,20 @@ class TestRunKernel:
             for size in sizes:
                 for lo in range(0, space, size):
                     _both_kernels(p, n, lo, min(space, lo + size))
+
+    @pytest.mark.parametrize("n", range(2, 41))
+    def test_whole_ties_away_binades_in_any_chunking(self, n, forced_runs):
+        # A run's constants come from the iteration on xa.  From n = 25 on,
+        # candidate 484 has a tie that moves a binade: its constants from
+        # the ties-even iteration on x would be wrong for the run after it.
+        p = 10
+        space = 1 << (p - 1)
+        for min_run, sizes in ((None, (1, space)), (0, (2, 3, 64, space))):
+            if min_run is not None:
+                forced_runs(min_run)
+            for size in sizes:
+                for lo in range(0, space, size):
+                    _both_kernels(p, n, lo, min(space, lo + size), AWAY)
 
     # At p = 2, n = 1100 is past the binary64 kernel's range gate.
     GATE_CASES = [(p, n) for p in (2, 24, 26) for n in (259, 515, 969, 970, 1100)
