@@ -24,9 +24,8 @@ even-tie-breaking does and away-tie-breaking does not.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
-from fractions import Fraction
 
 from .algorithms import DOWN, iterated_product, step_directions
 from .exact import relative_error
@@ -47,16 +46,15 @@ class SequenceConstructionError(ValueError):
     """A partial product left the window the construction relies on."""
 
 
-@dataclass(frozen=True)
-class SequenceReport:
-    """Outcome of independently re-running and checking a sequence."""
+class SequenceReport(namedtuple(
+    "SequenceReport", "directions all_down achieved_error error_bound gap passed"
+)):
+    """Outcome of independently re-running and checking a sequence: the
+    ``directions``, one per rounded multiplication; the ``achieved_error``
+    and the ``gap`` = error_bound - achieved_error, Fractions in ulps; and
+    the ``error_bound``, n - 1."""
 
-    directions: tuple[str, ...]  # one per rounded multiplication
-    all_down: bool
-    achieved_error: Fraction  # in ulps
-    error_bound: int  # n - 1
-    gap: Fraction  # error_bound - achieved_error, in ulps
-    passed: bool
+    __slots__ = ()
 
 
 def _exact_product(factors: tuple[FpNumber, ...]) -> tuple[int, int]:

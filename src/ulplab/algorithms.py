@@ -10,7 +10,7 @@ are those of ``iterated_product([x] * n)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .softfloat import FpNumber, RoundingMode, fp_mul
 
@@ -42,11 +42,11 @@ def _mul_direction(a: FpNumber, b: FpNumber, result: FpNumber) -> str:
     return DOWN if rounded_scaled < exact_scaled else UP
 
 
-@dataclass(frozen=True)
-class ProductTrace:
-    factors: tuple[FpNumber, ...]
-    partials: tuple[FpNumber, ...]  # running rounded products, first is factors[0]
-    final: FpNumber
+class ProductTrace(namedtuple("ProductTrace", "factors partials final")):
+    """The ``factors``, the running rounded ``partials`` (the first is
+    ``factors[0]``) and the ``final`` rounded product."""
+
+    __slots__ = ()
 
 
 def naive_power(

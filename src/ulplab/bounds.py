@@ -9,8 +9,8 @@ a comparison of integers and no double-precision rounding can leak in.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
@@ -33,23 +33,19 @@ _LEMMA2_N_GRID = (3, 4, 5, 6, 10, 32, 100, 1000)
 _LEMMA2_SUBDIVISIONS = 16
 
 
-@dataclass(frozen=True)
-class BoundSet:
+class BoundSet(namedtuple("BoundSet", "simple psi gamma")):
     """The classical bounds for an n-term chain at p bits, in ulps (u = 2**-p):
-    with k = n-1, simple = k, psi = ((1+u)**k - 1)/u, gamma = k/(1 - k*u)."""
+    with k = n-1, the int simple = k and the Fractions psi = ((1+u)**k - 1)/u
+    and gamma = k/(1 - k*u)."""
 
-    simple: int
-    psi: Fraction
-    gamma: Fraction
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    """Outcome of one exact verification sweep."""
+class CheckReport(namedtuple("CheckReport", "name passed checked")):
+    """Outcome of one exact verification sweep: its ``name``, whether it
+    ``passed``, and the number of cases ``checked``."""
 
-    name: str
-    passed: bool
-    checked: int
+    __slots__ = ()
 
 
 def bound_set(p: int, n: int) -> BoundSet:

@@ -206,8 +206,9 @@ def _cmd_search(args: argparse.Namespace) -> tuple[int, str]:
         raise CliError(
             f"--checkpoint holds the state of a single n; got --n {args.n}"
         )
-    if args.jobs < 1:
-        raise CliError(f"--jobs must be >= 1, got {args.jobs}")
+    for flag, value in (("--jobs", args.jobs), ("--chunk-size", args.chunk_size)):
+        if value < 1:
+            raise CliError(f"{flag} must be >= 1, got {value}")
     if args.radius is not None:
         if args.radius < 0:
             raise CliError(f"--radius must be >= 0, got {args.radius}")
@@ -566,18 +567,17 @@ def run(argv: list[str]) -> tuple[int, str]:
     can decide how loud to be; ``main`` prints one ``error:`` line, exit 2.
     This is the one place where a ValueError or OSError becomes a CliError.
     It is also the one place that changes interpreter-wide state: the
-    int<->str digit limit is lifted while the handler runs, for argv values
-    and JSON integers of any length, and restored however the handler ends.
+    int<->str digit limit is lifted while argv is parsed and the command
+    runs, for argv values and JSON integers of any length, and restored.
     """
-    args = _PARSER.parse_args(argv)
-    digits = getattr(args, "digits", 9)
-    if digits < 1:
-        raise CliError("--digits must be >= 1")
-    if (getattr(args, "p", None) or 0) > MAX_PRECISION:
-        raise CliError(f"--p must be <= {MAX_PRECISION}, got {args.p}")
     old_limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
+        args = _PARSER.parse_args(argv)
+        if getattr(args, "digits", 9) < 1:
+            raise CliError("--digits must be >= 1")
+        if (getattr(args, "p", None) or 0) > MAX_PRECISION:
+            raise CliError(f"--p must be <= {MAX_PRECISION}, got {args.p}")
         return args.handler(args)
     except (ValueError, OSError) as exc:
         raise CliError(str(exc)) from None

@@ -139,9 +139,8 @@ import json
 import math
 import os
 import sys
-from collections import deque
+from collections import deque, namedtuple
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algorithms import naive_power
@@ -158,17 +157,14 @@ DEFAULT_CHUNK_SIZE = 1 << 20
 CHECKPOINT_SCHEMA_VERSION = 2
 
 
-@dataclass(frozen=True)
-class SearchReport:
-    """Result of scanning significands k_start .. k_stop-1 for the n-th power."""
+class SearchReport(namedtuple(
+    "SearchReport", "n max_error argmax_x scanned violations k_start k_stop"
+)):
+    """Result of scanning significands k_start .. k_stop-1 for the n-th power:
+    ``max_error`` in ulps, ``argmax_x`` the smallest x attaining it in the
+    scanned range, and ``violations`` the inputs whose error exceeded (n-1) ulps."""
 
-    n: int
-    max_error: Fraction  # in ulps
-    argmax_x: FpNumber  # smallest x attaining max_error in the scanned range
-    scanned: int
-    violations: int  # inputs whose error exceeded (n-1) ulps
-    k_start: int
-    k_stop: int
+    __slots__ = ()
 
 
 # Precisions whose significand products are exact doubles (2p <= 52 bits):

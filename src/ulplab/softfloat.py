@@ -13,7 +13,7 @@ they check only the exponent range and skip the rest of the validation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 
@@ -53,32 +53,36 @@ def _check_exponent(e: int) -> None:
         raise ExponentRangeError(f"exponent {e} outside +/-{EXPONENT_LIMIT}")
 
 
-@dataclass(frozen=True)
-class FpNumber:
-    """An immutable precision-p floating-point value.
+class FpNumber(namedtuple("FpNumber", "sign significand exponent precision")):
+    """An immutable precision-p floating-point value: sign, the integral
+    significand X (zero, or 2**(p-1) <= X <= 2**p - 1), exponent e and
+    precision p.  Zero has the single canonical representation
+    ``FpNumber(1, 0, 0, p)``."""
 
-    Zero has the single canonical representation
-    ``FpNumber(1, 0, 0, p)``.
-    """
+    __slots__ = ()
 
-    sign: int
-    significand: int  # X: zero, or 2**(p-1) <= X <= 2**p - 1
-    exponent: int  # e
-    precision: int  # p
-
-    def __post_init__(self) -> None:
-        _check_precision(self.precision)
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign!r}")
-        X = self.significand
+    def __new__(cls, sign: int, significand: int, exponent: int, precision: int):
+        _check_precision(precision)
+        if sign not in (1, -1):
+            raise ValueError(f"sign must be +1 or -1, got {sign!r}")
+        X = significand
         if X == 0:
-            if self.sign != 1 or self.exponent != 0:
+            if sign != 1 or exponent != 0:
                 raise ValueError("zero must be represented as (sign=+1, X=0, e=0)")
-        elif not (1 << (self.precision - 1)) <= X <= (1 << self.precision) - 1:
-            raise ValueError(
-                f"significand {X} not normalised for precision {self.precision}"
-            )
-        _check_exponent(self.exponent)
+        elif not (1 << (precision - 1)) <= X <= (1 << precision) - 1:
+            raise ValueError(f"significand {X} not normalised for precision {precision}")
+        _check_exponent(exponent)
+        return tuple.__new__(cls, (sign, significand, exponent, precision))
+
+    @classmethod
+    def _make(cls, fields) -> "FpNumber":
+        """Validating, so that ``_replace`` validates too."""
+        return cls(*fields)
+
+    # Not a sequence: tuple ordering, + and * give way to TypeError.
+    __lt__ = __le__ = __gt__ = __ge__ = __add__ = __mul__ = __rmul__ = (
+        lambda self, other: NotImplemented
+    )
 
     @property
     def is_zero(self) -> bool:
@@ -100,15 +104,9 @@ class FpNumber:
 
 def _normalised(sign: int, X: int, e: int, p: int) -> FpNumber:
     """``FpNumber(sign, X, e, p)`` for fields already known to be valid apart
-    from the exponent range, without the rest of ``__post_init__``."""
+    from the exponent range, without the rest of the constructor's checks."""
     _check_exponent(e)
-    x = object.__new__(FpNumber)
-    fields = x.__dict__  # frozen, so fill the instance dict directly
-    fields["sign"] = sign
-    fields["significand"] = X
-    fields["exponent"] = e
-    fields["precision"] = p
-    return x
+    return tuple.__new__(FpNumber, (sign, X, e, p))
 
 
 def _binade(num: int, den: int) -> int:

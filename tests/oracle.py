@@ -11,6 +11,18 @@ from fractions import Fraction
 HALF = Fraction(1, 2)
 
 
+def _split(t):
+    """(m, s) with t = m * 2**s and 1 <= |m| < 2, for a nonzero Fraction t."""
+    s = 0
+    while abs(t) >= 2:
+        t /= 2
+        s += 1
+    while abs(t) < 1:
+        t *= 2
+        s -= 1
+    return t, s
+
+
 def oracle_round(t, p, ties_away=False):
     """Round the rational t to the nearest p-bit float, as a Fraction."""
     t = Fraction(t)
@@ -19,13 +31,7 @@ def oracle_round(t, p, ties_away=False):
     sign = 1
     if t < 0:
         sign, t = -1, -t
-    shift = 0
-    while t >= 2:
-        t /= 2
-        shift += 1
-    while t < 1:
-        t *= 2
-        shift -= 1
+    t, shift = _split(t)
     scaled = t * (1 << (p - 1))
     q = scaled.numerator // scaled.denominator
     rem = scaled - q
@@ -35,12 +41,20 @@ def oracle_round(t, p, ties_away=False):
 
 
 def oracle_power(x, n, p, ties_away=False):
-    """naive x**n: n-1 rounded multiplications, left fold."""
+    """naive x**n: n-1 rounded multiplications, left fold.
+
+    Rounding commutes with scaling by a power of two, so x and the running
+    value are kept as m * 2**s with 1 <= |m| < 2: each step rounds a product
+    below 4 in magnitude, and its cost does not grow with the power."""
     x = Fraction(x)
-    y = x
+    if x == 0:
+        return x
+    mx, sx = _split(x)
+    m, scale = mx, sx
     for _ in range(n - 1):
-        y = oracle_round(x * y, p, ties_away)
-    return y
+        m, s = _split(oracle_round(mx * m, p, ties_away))
+        scale += sx + s
+    return m * Fraction(2) ** scale
 
 
 def oracle_product(factors, p, ties_away=False):

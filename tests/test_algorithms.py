@@ -116,6 +116,12 @@ class TestIteratedProduct:
         ones = [round_nearest(1, 16)] * 9
         assert iterated_product(ones).final.to_fraction() == 1
 
+    def test_zero_factor_steps_are_exact(self):
+        x = FpNumber(1, 182, 0, 8)
+        trace = iterated_product([x, FpNumber.zero(8), x])
+        assert trace.final.is_zero
+        assert step_directions(trace) == (EXACT, EXACT)
+
     def test_partials_structure(self):
         fs = [FpNumber(1, 182, 0, 8), FpNumber(1, 145, 0, 8), FpNumber(1, 201, 0, 8)]
         trace = iterated_product(fs)

@@ -156,6 +156,11 @@ class TestIRoot:
         x = _iroot(a, k)
         assert x**k <= a < (x + 1) ** k
 
+    @pytest.mark.parametrize("a,k", [(-1, 3), (8, 0)])
+    def test_bad_arguments_refused(self, a, k):
+        with pytest.raises(ValueError, match="need a >= 0 and k >= 1"):
+            _iroot(a, k)
+
 
 class TestNMax:
     @pytest.mark.parametrize(

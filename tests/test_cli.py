@@ -595,6 +595,28 @@ class TestRegressCommand:
         assert code == 1
         assert "MISSING table1" in text
 
+    def test_failing_scenario_is_reported(self, tmp_path, monkeypatch):
+        # at p = 6 some x**200 exceeds the (n-1) ulp bound: search exits 1
+        bad = [("bad", ["search", "--p", "6", "--n", "200"])]
+        monkeypatch.setattr(cli, "GOLDEN_SCENARIOS", bad)
+        code, text = run(["regress", "--golden-dir", str(tmp_path)])
+        assert code == 1
+        assert text == "ERROR bad: scenario exited with status 1\n0/1 scenarios ok\n"
+
+    def test_truncated_golden_differs_in_length_only(
+        self, golden_dir, tmp_path, monkeypatch
+    ):
+        one = [s for s in GOLDEN_SCENARIOS if s[0] == "nmax-p24"]
+        monkeypatch.setattr(cli, "GOLDEN_SCENARIOS", one)
+        lines = (golden_dir / "nmax-p24.json").read_text().splitlines(keepends=True)
+        (tmp_path / "nmax-p24.json").write_text("".join(lines[:-1]))
+        code, text = run(["regress", "--golden-dir", str(tmp_path)])
+        assert code == 1
+        assert text == (
+            f"MISMATCH nmax-p24: output differs from {tmp_path / 'nmax-p24.json'}\n"
+            "  outputs differ in length only\n0/1 scenarios ok\n"
+        )
+
 
 class TestMainEntry:
     def test_usage_error_exits_2(self, capsys):
@@ -629,7 +651,8 @@ class TestMainEntry:
             import ulplab.cli
 
             def loaded():
-                heavy = {"concurrent", "multiprocessing", "tempfile", "typing"}
+                heavy = {"concurrent", "dataclasses", "inspect", "multiprocessing",
+                         "tempfile", "typing"}
                 return sorted(m for m in sys.modules if m.partition(".")[0] in heavy)
 
             argv = ["search", "--p", "8", "--n", "3", "--chunk-size", "16"]
@@ -792,6 +815,8 @@ class TestSearchValidation:
         [
             (["--jobs", "0"], "--jobs must be >= 1, got 0"),
             (["--jobs", "-2"], "--jobs must be >= 1, got -2"),
+            (["--chunk-size", "0"], "--chunk-size must be >= 1, got 0"),
+            (["--chunk-size", "-1"], "--chunk-size must be >= 1, got -1"),
             (["--around", "200", "--radius", "-5"], "--radius must be >= 0, got -5"),
             (["--radius", "-1"], "--radius must be >= 0, got -1"),
             (["--radius", "5"],
@@ -925,6 +950,20 @@ class TestBigPrecisionOutput:
         again = run(["spot", "--p", "15000", "--x", x, "--n", "2", "--format", "json"])
         assert again == first
         assert sys.get_int_max_str_digits() == 4300
+
+    def test_search_takes_spot_significand(self, default_int_digit_limit):
+        # argv integers past the limit parse: the limit is lifted before argparse runs
+        x = json.loads(run(["spot", "--p", "15000", "--x", "3/2", "--n", "2",
+                            "--format", "json"])[1])["x"]
+        significand = x.split("/")[0]
+        assert len(significand) > 4300
+        code, text = run(["search", "--p", "15000", "--n", "2", "--around", significand,
+                          "--radius", "0", "--force", "--format", "json"])
+        assert code == 0
+        assert sys.get_int_max_str_digits() == 4300
+        with int_digit_limit(0):  # k_start and k_stop are integers here
+            row = json.loads(text)["rows"][0]
+        assert (row["argmax_x"], row["scanned"]) == (x, 1)
 
     def test_adversary_prints_factors(self, default_int_digit_limit):
         code, text = run(["adversary", "--p", "15000", "--n", "3", "--format", "json"])

@@ -56,6 +56,10 @@ class TestExhaustiveMaxError:
         assert r.argmax_x.to_fraction() == want_x
         assert r.violations == want_viol
 
+    def test_n_below_one_refused(self):
+        with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+            exhaustive_max_error(6, 0)
+
     def test_n1_is_all_zero_error(self):
         r = exhaustive_max_error(6, 1)
         assert r.max_error == 0
@@ -449,7 +453,7 @@ class TestBinary64Kernel:
 class TestP53:
     """At p = 53, TIES_EVEN steps by the double product, TIES_AWAY by the
     integer step; both are checked against ``fp_mul``'s integer step (via
-    ``spot_error``) and the brute-force oracle."""
+    ``spot_error``) and the brute-force oracle, at every n."""
 
     TOP = (1 << 52) - 5
     WINDOWS = [0, TOP, 4507062722867963 - (1 << 52) - 2]
@@ -464,10 +468,9 @@ class TestP53:
             assert Fraction(num, den) == max(errs)
             assert best_k == k_lo + errs.index(max(errs))
             assert viol == sum(err > n - 1 for err in errs) == 0
-            if n <= 100:  # the oracle's time grows as n**2: it never rescales
-                x = Fraction((1 << 52) + best_k, 1 << 52)
-                computed = oracle_power(x, n, 53, mode is AWAY)
-                assert Fraction(num, den) == oracle_error_ulps(computed, x**n, 53)
+            x = Fraction((1 << 52) + best_k, 1 << 52)
+            computed = oracle_power(x, n, 53, mode is AWAY)
+            assert Fraction(num, den) == oracle_error_ulps(computed, x**n, 53)
 
     @pytest.mark.parametrize("mode", [EVEN, AWAY])
     def test_exact_product_ties(self, mode):
@@ -494,8 +497,7 @@ class TestP53:
         for n in (j + 1, j + 2, j + 5):
             num, den, _, _ = _scan_chunk((53, n, False, k, k + 1))
             assert Fraction(num, den) == spot_error(FpNumber(1, (1 << 52) + k, 0, 53), n)
-            if n <= 100:
-                assert Fraction(num, den) == oracle_error_ulps(oracle_power(x, n, 53), x**n, 53)
+            assert Fraction(num, den) == oracle_error_ulps(oracle_power(x, n, 53), x**n, 53)
 
 
 @pytest.mark.parametrize("mode", [EVEN, AWAY])

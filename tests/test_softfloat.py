@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -68,6 +70,55 @@ class TestFpNumber:
     def test_exponent_guard(self):
         with pytest.raises(ExponentRangeError):
             FpNumber(1, 128, EXPONENT_LIMIT + 1, 8)
+
+    def test_sign_enforced(self):
+        with pytest.raises(ValueError, match="sign must be"):
+            FpNumber(0, 128, 0, 8)
+
+    def test_is_a_tuple_of_its_fields(self):
+        x = FpNumber(precision=8, exponent=-1, significand=192, sign=-1)
+        assert x == (-1, 192, -1, 8) and tuple(x) == (-1, 192, -1, 8)
+        assert repr(x) == "FpNumber(sign=-1, significand=192, exponent=-1, precision=8)"
+        assert hash(x) == hash((-1, 192, -1, 8))
+        with pytest.raises(AttributeError):
+            x.sign = 1
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda x: x < x,
+            lambda x: x >= x,
+            lambda x: sorted([x, x]),
+            lambda x: x + x,
+            lambda x: x * 2,
+            lambda x: 2 * x,
+        ],
+        ids=["lt", "ge", "sorted", "add", "mul", "rmul"],
+    )
+    def test_not_ordered_added_or_repeated(self, op):
+        with pytest.raises(TypeError):
+            op(FpNumber(1, 192, 0, 8))
+
+    def test_replace_and_make_validate(self):
+        x = FpNumber(1, 192, 0, 8)
+        assert x._replace(exponent=3) == FpNumber(1, 192, 3, 8)
+        with pytest.raises(ValueError, match="sign must be"):
+            x._replace(sign=5)
+        with pytest.raises(ValueError, match="not normalised"):
+            FpNumber._make((1, 127, 0, 8))
+        with pytest.raises(ExponentRangeError):
+            x._replace(exponent=EXPONENT_LIMIT + 1)
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        for x in (FpNumber(-1, 192, -7, 8), FpNumber.zero(53), round_nearest(3, 24)):
+            assert pickle.loads(pickle.dumps(x)) == x
+            assert copy.deepcopy(x) == x
+            assert type(copy.deepcopy(x)) is FpNumber
+
+    def test_unpickling_validates(self):
+        bad = tuple.__new__(FpNumber, (1, 127, 0, 8))
+        with pytest.raises(ValueError, match="not normalised"):
+            pickle.loads(pickle.dumps(bad))
 
 
 class TestRoundNearest:
