@@ -34,13 +34,7 @@ from .bounds import (
 )
 from .exact import _int_str, _trailing_zeros, to_decimal
 from .search import DEFAULT_CHUNK_SIZE, PRECISION_GUARD, exhaustive_max_error, spot_error
-from .softfloat import (
-    ExponentRangeError,
-    FpNumber,
-    RoundingMode,
-    _check_precision,
-    round_nearest,
-)
+from .softfloat import FpNumber, RoundingMode, _check_precision, round_nearest
 
 __all__ = ["GOLDEN_SCENARIOS", "main", "run"]
 
@@ -96,8 +90,8 @@ def _budget(args: argparse.Namespace, ns: range, value: str, lag: int = 0) -> No
 def _parse_x(text: str, p: int) -> FpNumber:
     """Parse '8473808/2^23', '4097/4096', or a plain integer, exactly.
 
-    The 2^K of A/2^K goes into the exponent and is never built, so a large
-    K costs nothing; an exponent beyond FpNumber's range is refused."""
+    The 2^K of A/2^K goes into the exponent and is never built, so any
+    K >= 0 is taken, and costs no more than reading it."""
     num_s, slash, den_s = text.partition("/")
     try:
         num = int(num_s)
@@ -115,10 +109,7 @@ def _parse_x(text: str, p: int) -> FpNumber:
         raise CliError(f"{text} is not exactly representable at precision {p}")
     if x.is_zero:
         return x
-    try:
-        return FpNumber(x.sign, x.significand, x.exponent - shift, p)
-    except ExponentRangeError as exc:
-        raise CliError(f"{text}: {exc}") from None
+    return FpNumber(x.sign, x.significand, x.exponent - shift, p)
 
 
 def _fp_repr(x: FpNumber) -> str:
@@ -588,11 +579,15 @@ def run(argv: list[str]) -> tuple[int, str]:
 def main(argv: list[str] | None = None) -> int:
     try:
         code, text = run(sys.argv[1:] if argv is None else argv)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:  # the report was not delivered
+            raise CliError(f"cannot write the report: {exc}") from None
     except CliError as exc:
         # A token can carry a newline into the message; keep it one line.
         print("error: " + str(exc).replace("\n", "\\n"), file=sys.stderr)
         return 2
-    sys.stdout.write(text)
     return code
 
 

@@ -500,15 +500,23 @@ def _pooled(
     depth: int,
 ) -> Iterator[tuple[tuple[int, int, bool, int, int], tuple[int, int, int, int]]]:
     """Yield (chunk, _scan_chunk(chunk)) in order, scanned in ``pool`` with
-    at most ``depth`` chunks submitted and not yet taken."""
+    at most ``depth`` chunks submitted and not yet taken.  A worker that
+    dies is an OSError, like any other failure of the machine."""
+    from concurrent.futures.process import BrokenProcessPool
+
     pending = deque()
-    for chunk in chunks:
-        pending.append((chunk, pool.submit(_scan_chunk, chunk)))
-        if len(pending) == depth:
-            chunk, future = pending.popleft()
+    try:
+        for chunk in chunks:
+            pending.append((chunk, pool.submit(_scan_chunk, chunk)))
+            if len(pending) == depth:
+                chunk, future = pending.popleft()
+                yield chunk, future.result()
+        for chunk, future in pending:
             yield chunk, future.result()
-    for chunk, future in pending:
-        yield chunk, future.result()
+    except BrokenProcessPool:
+        raise ChildProcessError(
+            "a scan worker died; a --checkpoint scan resumes from its last chunk"
+        ) from None
 
 
 def _write_checkpoint(path: str, payload: dict) -> None:

@@ -8,7 +8,9 @@ means every code path is exercised by the exact-rational cross-checks.
 
 The public constructor validates every field.  ``fp_mul`` and
 ``round_nearest`` build results that are normalised by construction, so
-they check only the exponent range and skip the rest of the validation.
+they skip the validation.  Exponents are integers of any size, as the
+model has no overflow or underflow; ``to_fraction`` builds an integer of
+about |e| bits, so it is for moderate exponents.
 """
 
 from __future__ import annotations
@@ -18,22 +20,11 @@ from enum import Enum
 from fractions import Fraction
 
 __all__ = [
-    "EXPONENT_LIMIT",
-    "ExponentRangeError",
     "FpNumber",
     "RoundingMode",
     "fp_mul",
     "round_nearest",
 ]
-
-# Exponents are confined to a fixed signed range so a runaway computation
-# surfaces as an error instead of an absurd but silent value.  Desk-scale
-# runs stay far below this.
-EXPONENT_LIMIT = 2**62
-
-
-class ExponentRangeError(OverflowError):
-    """The exponent of a result left the supported range."""
 
 
 class RoundingMode(Enum):
@@ -48,11 +39,6 @@ def _check_precision(p: int) -> None:
         raise ValueError(f"precision must be an integer >= 2, got {p!r}")
 
 
-def _check_exponent(e: int) -> None:
-    if not -EXPONENT_LIMIT <= e <= EXPONENT_LIMIT:
-        raise ExponentRangeError(f"exponent {e} outside +/-{EXPONENT_LIMIT}")
-
-
 class FpNumber(namedtuple("FpNumber", "sign significand exponent precision")):
     """An immutable precision-p floating-point value: sign, the integral
     significand X (zero, or 2**(p-1) <= X <= 2**p - 1), exponent e and
@@ -63,6 +49,9 @@ class FpNumber(namedtuple("FpNumber", "sign significand exponent precision")):
 
     def __new__(cls, sign: int, significand: int, exponent: int, precision: int):
         _check_precision(precision)
+        if not type(sign) is type(significand) is type(exponent) is int:
+            types = ", ".join(type(f).__name__ for f in (sign, significand, exponent))
+            raise ValueError(f"sign, significand and exponent must be int, got {types}")
         if sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {sign!r}")
         X = significand
@@ -71,7 +60,6 @@ class FpNumber(namedtuple("FpNumber", "sign significand exponent precision")):
                 raise ValueError("zero must be represented as (sign=+1, X=0, e=0)")
         elif not (1 << (precision - 1)) <= X <= (1 << precision) - 1:
             raise ValueError(f"significand {X} not normalised for precision {precision}")
-        _check_exponent(exponent)
         return tuple.__new__(cls, (sign, significand, exponent, precision))
 
     @classmethod
@@ -100,13 +88,6 @@ class FpNumber(namedtuple("FpNumber", "sign significand exponent precision")):
     @staticmethod
     def zero(p: int) -> "FpNumber":
         return FpNumber(1, 0, 0, p)
-
-
-def _normalised(sign: int, X: int, e: int, p: int) -> FpNumber:
-    """``FpNumber(sign, X, e, p)`` for fields already known to be valid apart
-    from the exponent range, without the rest of the constructor's checks."""
-    _check_exponent(e)
-    return tuple.__new__(FpNumber, (sign, X, e, p))
 
 
 def _binade(num: int, den: int) -> int:
@@ -151,7 +132,7 @@ def round_nearest(
     if q == 1 << p:  # rounded up across the binade boundary
         q = 1 << (p - 1)
         e += 1
-    return _normalised(sign, q, e, p)
+    return tuple.__new__(FpNumber, (sign, q, e, p))
 
 
 def fp_mul(
@@ -183,4 +164,4 @@ def fp_mul(
         if q == 1 << p:
             q = 1 << (p - 1)
             e += 1
-    return _normalised(a.sign * b.sign, q, e, p)
+    return tuple.__new__(FpNumber, (a.sign * b.sign, q, e, p))

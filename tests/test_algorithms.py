@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ulplab import (
-    ExponentRangeError,
     FpNumber,
     RoundingMode,
     fp_mul,
@@ -95,12 +94,11 @@ class TestNaivePower:
         b = naive_power(doubled, n).to_fraction()
         assert b == a * (1 << n)
 
-    def test_exponent_overflow_reported(self):
-        from ulplab import EXPONENT_LIMIT
-
-        x = FpNumber(1, 1 << 7, EXPONENT_LIMIT // 2, 8)
-        with pytest.raises(ExponentRangeError):
-            naive_power(x, 5)
+    def test_exponent_past_2_to_62(self):
+        # x**5 at exponent 2**61 is the exponent-0 power moved by 2**(5 * 2**61)
+        x = FpNumber(1, 3 << 6, 2**61, 8)
+        base = naive_power(FpNumber(1, 3 << 6, 0, 8), 5)
+        assert naive_power(x, 5) == base._replace(exponent=base.exponent + 5 * 2**61)
 
 
 class TestIteratedProduct:

@@ -51,17 +51,20 @@ class TestHelpers:
             _parse_x("7/3", 24)  # not a binary float
         with pytest.raises(CliError):
             _parse_x("abc", 24)
-        with pytest.raises(CliError):
-            _parse_x("1/2^" + "9" * 20, 24)  # a shift too large to take
+        # any shift is taken: it only moves the exponent
+        x = _parse_x("1/2^" + "9" * 20, 24)
+        assert (x.significand, x.exponent) == (1 << 23, -(10**20 - 1))
 
     def test_parse_x_reads_exponents_without_shifting(self):
-        # 2**62 is FpNumber's exponent limit; a shift this size is never built
+        # a shift of 2**62 or more is never built either
         x = _parse_x("3/2^4611686018427387903", 24)
         assert (x.sign, x.significand, x.exponent) == (1, 3 << 22, 1 - 4611686018427387903)
+        x = _parse_x("1/2^4611686018427387905", 24)
+        assert (x.sign, x.significand, x.exponent) == (1, 1 << 23, -4611686018427387905)
         x = _parse_x("-12/8", 24)
         assert (x.sign, x.significand, x.exponent) == (-1, 3 << 22, 0)
         assert _parse_x("0/2^99999999999999999999", 24).is_zero
-        for text in ["1/2^4611686018427387905", "1/2^-1", "3/2^", "5/2^x"]:
+        for text in ["1/2^-1", "3/2^", "5/2^x"]:
             with pytest.raises(CliError):
                 _parse_x(text, 24)
         with pytest.raises(CliError, match="not exactly representable"):
@@ -237,23 +240,21 @@ class TestSpotCommand:
         assert sys.get_int_max_str_digits() == 4300
 
     def test_extreme_exponents(self, capsys):
-        # x = 2**-(2**62 - 1) has the error of x = 1; one step further out the
-        # exponent leaves FpNumber's range, which is one error line
+        # x = 2**-K has the error of x = 1 for every K, at 2**62 and past it
         def spot(x):
             code, text = run(["spot", "--p", "24", "--x", x, "--n", "2..3", "--format", "json"])
             assert code == 0
             return json.loads(text)
 
-        far = spot("1/2^4611686018427387903")
-        assert far["rows"] == spot("1")["rows"]
-        assert far["x"] == "8388608/2^4611686018427387926"
-        assert main(["spot", "--p", "24", "--x", "1/2^4611686018427387905", "--n", "2"]) == 2
+        near = spot("1/2^4611686018427387903")
+        assert near["rows"] == spot("1")["rows"]
+        assert near["x"] == "8388608/2^4611686018427387926"
+        for k in (2**62 + 1, 10**20 - 1):
+            far = spot(f"1/2^{k}")
+            assert far["rows"] == near["rows"] and far["x"] == f"8388608/2^{k + 23}"
+        assert main(["spot", "--p", "24", "--x", "1/2^4611686018427387905", "--n", "2"]) == 0
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            "error: 1/2^4611686018427387905: exponent -4611686018427387905 "
-            "outside +/-4611686018427387904\n"
-        )
+        assert captured.err == "" and captured.out.startswith("n  error_ulps")
 
     def test_negative_x_is_given_with_an_equals_sign(self, capsys):
         # argparse reads a bare -3/2 as an option, so --x=-3/2 is the form;
@@ -641,6 +642,32 @@ class TestMainEntry:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["n_max"] == 2088
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("n", ["2", "2..2000"], ids=["small", "large"])
+    def test_failed_write_exits_2_with_one_line(self, n):
+        # the large report overflows the stdout buffer, so write itself fails
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "ulplab.cli", "spot", "--p", "24", "--x", "3/2",
+                 "--n", n], stdout=full, stderr=subprocess.PIPE, text=True,
+            )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: cannot write the report: ")
+        assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+
+    def test_failed_write_in_process(self, monkeypatch, capsys):
+        class Unwritable:
+            def write(self, *text):
+                raise OSError(28, "No space left on device")
+
+            flush = write
+
+        monkeypatch.setattr(sys, "stdout", Unwritable())
+        assert main(["bounds", "--p", "24", "--n", "10"]) == 2
+        assert capsys.readouterr().err == (
+            "error: cannot write the report: [Errno 28] No space left on device\n"
+        )
 
     def test_pool_modules_load_only_when_a_scan_starts_a_pool(self, tmp_path):
         # -S: a site-packages .pth file may import tempfile or typing itself.

@@ -2,8 +2,8 @@
 
 Every bad command line leaves ``main`` as one ``error:`` line on stderr and
 exit status 2, argparse usage errors included; every good one prints a
-report that parses.  A checkpointed scan killed with SIGKILL resumes to the
-bytes of an uninterrupted run.
+report that parses.  A checkpointed scan killed with SIGKILL, or one whose
+pool worker dies, resumes to the bytes of an uninterrupted run.
 """
 
 import io
@@ -16,6 +16,7 @@ import sys
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ulplab
+import ulplab.search
 from ulplab.cli import MAX_DIGITS, main, run
+from ulplab.search import _scan_chunk
 
 GOLDENS = str(Path(__file__).parent.parent / "goldens")
 TMP = "<tmp>"  # replaced by a fresh temporary directory in every example
@@ -61,10 +64,11 @@ OPTIONS = {
         "--p": PRECISION,
         "--x": (
             # 6/4: an even significand; -3/2^900: a negative value with a
-            # large 2^K; 2 and 1/2^7: exact powers of two
+            # large 2^K; 2 and 1/2^7: exact powers of two; the last two: 2^K
+            # past 2^62, where 64-bit exponents would end
             ["1", "3/2", "8473808/2^23", "1/2^3", "-3", "0", "7/3",
-             "6/4", "-3/2^900", "2", "1/2^7"],
-            ["1/0", "2^3", "x", "", "7\n/3", "1/2^" + "9" * 20, f"1/2^{2**62 + 1}"],
+             "6/4", "-3/2^900", "2", "1/2^7", "1/2^" + "9" * 20, f"1/2^{2**62 + 1}"],
+            ["1/0", "2^3", "x", "", "7\n/3"],
         ),
         "--n": COUNT,
         **MODE,
@@ -183,3 +187,31 @@ def test_killed_scan_resumes_to_the_same_bytes(jobs, tmp_path):
     resumed = subprocess.run(command, env=env, capture_output=True, text=True)
     assert (resumed.returncode, resumed.stdout) == want
     assert resumed.stderr == ""
+
+
+def _dies_at(checkpoint: str, k: int, chunk):
+    """The real chunk kernel, but the worker given the chunk from k exits
+    once the scan has saved a checkpoint."""
+    if chunk[3] < k:
+        return _scan_chunk(chunk)
+    deadline = time.monotonic() + 30
+    while not os.path.exists(checkpoint) and time.monotonic() < deadline:
+        time.sleep(0.001)
+    os._exit(1)
+
+
+def test_dead_worker_exits_2_and_resumes_to_the_same_bytes(tmp_path, monkeypatch, capsys):
+    ck = str(tmp_path / "scan.json")
+    argv = ["search", "--p", "12", "--n", "6", "--chunk-size", "64", "--format", "json"]
+    want = run(argv + ["--jobs", "1"])
+    monkeypatch.setattr(ulplab.search.os, "cpu_count", lambda: 2)
+    with monkeypatch.context() as m:
+        m.setattr(ulplab.search, "_scan_chunk", partial(_dies_at, ck, 512))
+        assert main(argv + ["--jobs", "2", "--checkpoint", ck]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: a scan worker died; a --checkpoint scan resumes from its last chunk\n"
+    )
+    assert 0 < json.loads(Path(ck).read_text())["next_k"] <= 512
+    assert run(argv + ["--jobs", "2", "--checkpoint", ck]) == want

@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 
 import ulplab.search as search
 from ulplab import (
-    EXPONENT_LIMIT,
-    ExponentRangeError,
     FpNumber,
     RoundingMode,
     exhaustive_max_error,
@@ -1016,8 +1014,10 @@ class TestSpotError:
         assert spot_error(x, n, mode) == want
 
     def test_exponent_too_large_to_raise(self):
-        # x**3 would need an exponent past the limit; x's error is that of x / 2**e
-        x = FpNumber(1, 8473808, EXPONENT_LIMIT, 24)
-        assert spot_error(x, 3) == spot_error(FpNumber(1, 8473808, 0, 24), 3)
-        with pytest.raises(ExponentRangeError):
-            naive_power(x, 3)
+        # x**3 at exponent 2**62 is x0**3 moved by 2**(3 * 2**62), never built
+        # as a fraction; x's error is that of x0 = x / 2**e
+        x0 = FpNumber(1, 8473808, 0, 24)
+        x = x0._replace(exponent=2**62)
+        assert spot_error(x, 3) == spot_error(x0, 3)
+        base = naive_power(x0, 3)
+        assert naive_power(x, 3) == base._replace(exponent=base.exponent + 3 * 2**62)

@@ -7,8 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ulplab import (
-    EXPONENT_LIMIT,
-    ExponentRangeError,
     FpNumber,
     RoundingMode,
     fp_mul,
@@ -67,9 +65,23 @@ class TestFpNumber:
         with pytest.raises(ValueError):
             FpNumber(1, 256, 0, 8)  # 2**8 needs renormalising
 
-    def test_exponent_guard(self):
-        with pytest.raises(ExponentRangeError):
-            FpNumber(1, 128, EXPONENT_LIMIT + 1, 8)
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            (1, 200.0, 0),
+            (1.0, 200, 0.0),
+            (True, 200, False),
+            (1, 128, 1.5),
+            (1, 128, None),
+            (1, 128, 2.0**62),
+        ],
+        ids=["float-significand", "float-sign-exponent", "bool", "fractional-exponent",
+             "none", "float-exponent"],
+    )
+    def test_field_type_guard(self, fields):
+        # Exponents have no range, but every field must be exactly an int
+        with pytest.raises(ValueError, match="must be int"):
+            FpNumber(*fields, 8)
 
     def test_sign_enforced(self):
         with pytest.raises(ValueError, match="sign must be"):
@@ -106,8 +118,12 @@ class TestFpNumber:
             x._replace(sign=5)
         with pytest.raises(ValueError, match="not normalised"):
             FpNumber._make((1, 127, 0, 8))
-        with pytest.raises(ExponentRangeError):
-            x._replace(exponent=EXPONENT_LIMIT + 1)
+        for bad in ({"exponent": 3.0}, {"sign": True}, {"significand": 192.5}):
+            with pytest.raises(ValueError, match="must be int"):
+                x._replace(**bad)
+        with pytest.raises(ValueError, match="must be int"):
+            FpNumber._make((1, 192, 0.5, 8))
+        assert x._replace(exponent=-(2**62) - 1).exponent == -(2**62) - 1
 
     def test_pickle_and_deepcopy_round_trip(self):
         for x in (FpNumber(-1, 192, -7, 8), FpNumber.zero(53), round_nearest(3, 24)):
@@ -119,6 +135,9 @@ class TestFpNumber:
         bad = tuple.__new__(FpNumber, (1, 127, 0, 8))
         with pytest.raises(ValueError, match="not normalised"):
             pickle.loads(pickle.dumps(bad))
+        for fields in ((1, 192, 0.0, 8), (False, 0, 0, 8), (1, 192.0, 0, 8)):
+            with pytest.raises(ValueError, match="must be int"):
+                pickle.loads(pickle.dumps(tuple.__new__(FpNumber, fields)))
 
 
 class TestRoundNearest:
@@ -260,10 +279,11 @@ class TestFpMul:
         z = FpNumber.zero(8)
         assert fp_mul(z, round_nearest(Fraction(3, 2), 8)).is_zero
 
-    def test_exponent_overflow_detected(self):
-        big = FpNumber(1, 1 << 7, EXPONENT_LIMIT - 1, 8)
-        with pytest.raises(ExponentRangeError):
-            fp_mul(big, big)
+    def test_exponent_past_2_to_62(self):
+        # no exponent range: the product of two values at 2**62 - 1 is
+        # 2**(2**63 - 2), what the validating constructor builds
+        big = FpNumber(1, 1 << 7, 2**62 - 1, 8)
+        assert fp_mul(big, big) == FpNumber(1, 1 << 7, 2**63 - 2, 8)
 
     @given(
         a=fp_numbers(13),
@@ -308,11 +328,10 @@ def revalidated(x: FpNumber) -> FpNumber:
     return FpNumber(x.sign, x.significand, x.exponent, x.precision)
 
 
-# Exponents near +/- EXPONENT_LIMIT / 2, so that a product's exponent lands
-# on either side of the limit.
-_HALF_LIMIT = EXPONENT_LIMIT // 2
+# Exponents near +/- 2**61, so that a product's exponent lands on either
+# side of +/- 2**62, a bound that 64-bit exponents would have.
 near_half_limit = st.builds(
-    lambda s, d: s * (_HALF_LIMIT + d),
+    lambda s, d: s * (2**61 + d),
     st.sampled_from([1, -1]),
     st.integers(min_value=-3, max_value=3),
 )
@@ -341,12 +360,6 @@ class TestNormalisedResults:
         # the product of a and b is that of a0 and b0 moved by 2**(ea + eb)
         base = fp_mul(a0, b0, mode)
         want_e = base.exponent + exps[0] + exps[1]
-        if abs(want_e) > EXPONENT_LIMIT:
-            with pytest.raises(ExponentRangeError):
-                fp_mul(a, b, mode)
-            with pytest.raises(ExponentRangeError):
-                FpNumber(base.sign, base.significand, want_e, p)
-            return
         got = fp_mul(a, b, mode)
         want = FpNumber(base.sign, base.significand, want_e, p)
         assert got == want == revalidated(got)
@@ -362,14 +375,14 @@ class TestNormalisedResults:
         assert got == revalidated(got)
         assert repr(got) == repr(revalidated(got))
 
-    def test_results_at_the_limit(self):
+    def test_results_at_and_past_2_to_62(self):
         # 1.5 * 1.5 = 2.25 carries into the next binade: exponent + 1
-        x = FpNumber(1, 3 << 6, EXPONENT_LIMIT // 2, 8)
-        y = FpNumber(1, 1 << 7, EXPONENT_LIMIT - EXPONENT_LIMIT // 2, 8)
-        assert fp_mul(x, y) == FpNumber(1, 3 << 6, EXPONENT_LIMIT, 8)
-        with pytest.raises(ExponentRangeError):
-            fp_mul(x, x)  # 2.25 * 2**(2 * (EXPONENT_LIMIT // 2))
-        small = FpNumber(1, 1 << 7, -EXPONENT_LIMIT, 8)
+        x = FpNumber(1, 3 << 6, 2**61, 8)
+        y = FpNumber(1, 1 << 7, 2**61, 8)
+        assert fp_mul(x, y) == FpNumber(1, 3 << 6, 2**62, 8)
+        # 2.25 * 2**(2 * 2**61) rounds to 2.25 at p = 8: 1.125 * 2**(2**62 + 1)
+        assert fp_mul(x, x) == FpNumber(1, 9 << 4, 2**62 + 1, 8)
+        small = FpNumber(1, 1 << 7, -(2**62), 8)
         assert fp_mul(small, round_nearest(1, 8)) == small
-        with pytest.raises(ExponentRangeError):
-            fp_mul(small, round_nearest(Fraction(1, 2), 8))
+        half = round_nearest(Fraction(1, 2), 8)
+        assert fp_mul(small, half) == FpNumber(1, 1 << 7, -(2**62) - 1, 8)
