@@ -583,6 +583,15 @@ def main(argv: list[str] | None = None) -> int:
             sys.stdout.write(text)
             sys.stdout.flush()
         except OSError as exc:  # the report was not delivered
+            # Stdout keeps what it could not write: point it at devnull, or the
+            # flush at exit fails again, prints a traceback and exits 120.
+            try:
+                fd = sys.stdout.fileno()  # none under an in-process caller
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, fd)
+                os.close(devnull)
+            except (AttributeError, OSError, ValueError):
+                pass
             raise CliError(f"cannot write the report: {exc}") from None
     except CliError as exc:
         # A token can carry a newline into the message; keep it one line.

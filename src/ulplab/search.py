@@ -692,7 +692,8 @@ def spot_error(
     """Exact relative error in ulps of naive_power(x, n) against the rational x**n.
 
     Measured on x moved into [1, 2) (or (-2, -1]): the error is invariant
-    under binade shifts, and x's own exponent may be too large to raise.
+    under binade shifts, and at a large exponent the exact x**n is too
+    large to build.
     """
     p = x.precision
     x = FpNumber(x.sign, x.significand, 0, p)

@@ -643,18 +643,38 @@ class TestMainEntry:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["n_max"] == 2088
 
+    @staticmethod
+    def _spot_to(stdout, n):
+        # Stdout buffered, as by default: the small report's bytes stay in the
+        # buffer after the failed flush, and the exit flush must not retry them.
+        # The large report overflows the buffer, so write itself fails.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        return subprocess.run(
+            [sys.executable, "-m", "ulplab.cli", "spot", "--p", "24", "--x", "3/2",
+             "--n", n], stdout=stdout, stderr=subprocess.PIPE, text=True, env=env,
+        )
+
+    @staticmethod
+    def _assert_one_error_line(proc, reason):
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: cannot write the report: {reason}\n"
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     @pytest.mark.parametrize("n", ["2", "2..2000"], ids=["small", "large"])
     def test_failed_write_exits_2_with_one_line(self, n):
-        # the large report overflows the stdout buffer, so write itself fails
         with open("/dev/full", "w") as full:
-            proc = subprocess.run(
-                [sys.executable, "-m", "ulplab.cli", "spot", "--p", "24", "--x", "3/2",
-                 "--n", n], stdout=full, stderr=subprocess.PIPE, text=True,
-            )
-        assert proc.returncode == 2
-        assert proc.stderr.startswith("error: cannot write the report: ")
-        assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+            proc = self._spot_to(full, n)
+        self._assert_one_error_line(proc, "[Errno 28] No space left on device")
+
+    @pytest.mark.parametrize("n", ["2", "2..2000"], ids=["small", "large"])
+    def test_closed_pipe_exits_2_with_one_line(self, n):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # no reader: every write fails with EPIPE
+        try:
+            proc = self._spot_to(write_end, n)
+        finally:
+            os.close(write_end)
+        self._assert_one_error_line(proc, "[Errno 32] Broken pipe")
 
     def test_failed_write_in_process(self, monkeypatch, capsys):
         class Unwritable:

@@ -1013,7 +1013,7 @@ class TestSpotError:
         want = relative_error(naive_power(x, n, mode), x.to_fraction() ** n)
         assert spot_error(x, n, mode) == want
 
-    def test_exponent_too_large_to_raise(self):
+    def test_exponent_past_2_to_62(self):
         # x**3 at exponent 2**62 is x0**3 moved by 2**(3 * 2**62), never built
         # as a fraction; x's error is that of x0 = x / 2**e
         x0 = FpNumber(1, 8473808, 0, 24)
