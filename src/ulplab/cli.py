@@ -240,13 +240,9 @@ def _cmd_search(args: argparse.Namespace) -> tuple[int, str]:
         )
         rows.append(
             {
-                "n": r.n,
+                **r._asdict(),
                 "max_error": _error_obj(r.max_error, args.digits),
                 "argmax_x": _fp_repr(r.argmax_x),
-                "scanned": r.scanned,
-                "violations": r.violations,
-                "k_start": r.k_start,
-                "k_stop": r.k_stop,
             }
         )
     obj = {
@@ -338,15 +334,14 @@ def _cmd_adversary(args: argparse.Namespace) -> tuple[int, str]:
     err = _error_obj(report.achieved_error, args.digits, den)
     gap = _error_obj(report.gap, args.digits, den)
     obj = {
+        **report._asdict(),
         "p": args.p,
         "n": args.n,
         "factors": values,
         "achieved_error": err,
-        "error_bound": report.error_bound,
         "gap": gap,
-        "all_down": report.all_down,
-        "passed": report.passed,
     }
+    del obj["directions"]  # all_down sums them up
     rows = [
         ("p", args.p),
         ("n", args.n),
@@ -381,7 +376,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
             CheckReport(f"sequence p={args.p} n={n}", r.passed, len(r.directions))
             for n, r in zip(ns, verify_prefixes(factors, ns))
         )
-    checks = [dict(name=c.name, passed=c.passed, checked=c.checked) for c in reports]
+    checks = [c._asdict() for c in reports]
     ok = all(c.passed for c in reports)
     obj = {"checks": checks, "passed": ok}
     return (0 if ok else 1), _render(args, obj, _VERIFY_COLUMNS, checks)
@@ -481,6 +476,9 @@ def _build_parser() -> _Parser:
         default=9,
         help="fractional digits in decimal renderings (truncated, default: 9)",
     )
+    pn = argparse.ArgumentParser(add_help=False)
+    pn.add_argument("--p", type=int, required=True, help="precision in bits")
+    pn.add_argument("--n", required=True, help="count N or range A..B")
     parser = _Parser(
         prog="ulplab",
         description="measure and bound the rounding error of iterated products",
@@ -488,11 +486,9 @@ def _build_parser() -> _Parser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     s = subs.add_parser(
-        "search", parents=[mode, out], help="exhaustive worst-case scan over [1, 2)"
+        "search", parents=[mode, out, pn], help="exhaustive worst-case scan over [1, 2)"
     )
     s.set_defaults(handler=_cmd_search)
-    s.add_argument("--p", type=int, required=True, help="precision in bits")
-    s.add_argument("--n", required=True, help="power count N or range A..B")
     s.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     s.add_argument("--checkpoint", help="resumable state file (single n only)")
     s.add_argument("--around", type=int, help="scan only near this significand")
@@ -512,19 +508,15 @@ def _build_parser() -> _Parser:
         help="candidates per work unit and checkpoint interval",
     )
 
-    s = subs.add_parser("spot", parents=[mode, out], help="exact error of one input")
+    s = subs.add_parser("spot", parents=[mode, out, pn], help="exact error of one input")
     s.set_defaults(handler=_cmd_spot)
-    s.add_argument("--p", type=int, required=True)
     s.add_argument(
         "--x", required=True,
         help="value as INT, A/B, or A/2^K; a negative one as --x=-A/B",
     )
-    s.add_argument("--n", required=True, help="power count N or range A..B")
 
-    s = subs.add_parser("bounds", parents=[out], help="classical error bounds, in ulps")
+    s = subs.add_parser("bounds", parents=[out, pn], help="classical error bounds, in ulps")
     s.set_defaults(handler=_cmd_bounds)
-    s.add_argument("--p", type=int, required=True)
-    s.add_argument("--n", required=True, help="count N or range A..B")
 
     s = subs.add_parser(
         "adversary", parents=[out], help="build a near-worst-case factor list"
@@ -576,26 +568,42 @@ def run(argv: list[str]) -> tuple[int, str]:
         sys.set_int_max_str_digits(old_limit)
 
 
+def _write(stream, text: str) -> None:
+    """Write and flush ``text``, or raise OSError.  A stream that fails keeps
+    what it could not write: its descriptor is pointed at devnull, or the
+    flush at exit fails again and the process exits 120."""
+    try:
+        stream.write(text)
+        stream.flush()
+    except OSError:
+        try:
+            fd = stream.fileno()  # none under an in-process caller
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        except (AttributeError, OSError, ValueError):
+            pass
+        raise
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
+        # Refused before the command runs: a scan could take hours for nothing.
+        if sys.stdout is None:  # started with descriptor 1 closed
+            raise CliError("cannot write the report: no standard output")
         code, text = run(sys.argv[1:] if argv is None else argv)
         try:
-            sys.stdout.write(text)
-            sys.stdout.flush()
+            _write(sys.stdout, text)
         except OSError as exc:  # the report was not delivered
-            # Stdout keeps what it could not write: point it at devnull, or the
-            # flush at exit fails again, prints a traceback and exits 120.
-            try:
-                fd = sys.stdout.fileno()  # none under an in-process caller
-                devnull = os.open(os.devnull, os.O_WRONLY)
-                os.dup2(devnull, fd)
-                os.close(devnull)
-            except (AttributeError, OSError, ValueError):
-                pass
             raise CliError(f"cannot write the report: {exc}") from None
     except CliError as exc:
         # A token can carry a newline into the message; keep it one line.
-        print("error: " + str(exc).replace("\n", "\\n"), file=sys.stderr)
+        # Where stderr is missing or refuses the line, the status alone tells.
+        if sys.stderr is not None:  # None when started with descriptor 2 closed
+            try:
+                _write(sys.stderr, "error: " + str(exc).replace("\n", "\\n") + "\n")
+            except OSError:
+                pass
         return 2
     return code
 

@@ -32,6 +32,33 @@ def fp_in_unit_binade(p):
     )
 
 
+def tie_prone_significand(p):
+    """p-bit significands, half of them with exactly (p - 1) // 2 trailing
+    zero bits: about half of those square to a tie."""
+    zeros = (p - 1) // 2
+    return st.builds(
+        lambda s, tie: (s >> zeros | 1) << zeros if tie else s,
+        st.integers(min_value=1 << (p - 1), max_value=(1 << p) - 1),
+        st.booleans(),
+    )
+
+
+def fp_any(max_p=200, max_exponent=1000):
+    """Zero or either sign, p in 2..max_p, exponent in +-max_exponent."""
+    return st.integers(min_value=2, max_value=max_p).flatmap(
+        lambda p: st.one_of(
+            st.just(FpNumber.zero(p)),
+            st.builds(
+                FpNumber,
+                st.sampled_from([1, -1]),
+                tie_prone_significand(p),
+                st.integers(min_value=-max_exponent, max_value=max_exponent),
+                st.just(p),
+            ),
+        )
+    )
+
+
 class TestNaivePower:
     def test_n1_is_identity(self):
         x = round_nearest(Fraction(3, 2), 8)
@@ -78,13 +105,13 @@ class TestNaivePower:
         assert step_directions(iterated_product([x, x])) == (DOWN,)
 
     @given(
-        x=fp_in_unit_binade(10),
-        n=st.integers(min_value=1, max_value=12),
+        x=st.one_of(fp_in_unit_binade(10), fp_any()),
+        n=st.integers(min_value=1, max_value=40),
         mode=st.sampled_from([EVEN, AWAY]),
     )
     @settings(max_examples=200)
     def test_matches_independent_oracle(self, x, n, mode):
-        want = oracle_power(x.to_fraction(), n, 10, ties_away=mode is AWAY)
+        want = oracle_power(x.to_fraction(), n, x.precision, ties_away=mode is AWAY)
         assert naive_power(x, n, mode).to_fraction() == want
 
     @given(x=fp_in_unit_binade(12), n=st.integers(min_value=1, max_value=10))

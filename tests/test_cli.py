@@ -644,14 +644,14 @@ class TestMainEntry:
         assert json.loads(proc.stdout)["n_max"] == 2088
 
     @staticmethod
-    def _spot_to(stdout, n):
+    def _spot_to(stdout, n, x="3/2", stderr=subprocess.PIPE, **kwargs):
         # Stdout buffered, as by default: the small report's bytes stay in the
         # buffer after the failed flush, and the exit flush must not retry them.
         # The large report overflows the buffer, so write itself fails.
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         return subprocess.run(
-            [sys.executable, "-m", "ulplab.cli", "spot", "--p", "24", "--x", "3/2",
-             "--n", n], stdout=stdout, stderr=subprocess.PIPE, text=True, env=env,
+            [sys.executable, "-m", "ulplab.cli", "spot", "--p", "24", "--x", x,
+             "--n", n], stdout=stdout, stderr=stderr, text=True, env=env, **kwargs,
         )
 
     @staticmethod
@@ -665,6 +665,26 @@ class TestMainEntry:
         with open("/dev/full", "w") as full:
             proc = self._spot_to(full, n)
         self._assert_one_error_line(proc, "[Errno 28] No space left on device")
+
+    def test_closed_stdout_exits_2_with_one_line(self):
+        # Started with descriptor 1 closed, the interpreter has no sys.stdout.
+        proc = self._spot_to(None, "2", preexec_fn=lambda: os.close(1))
+        self._assert_one_error_line(proc, "no standard output")
+
+    @pytest.mark.parametrize("stderr", ["closed", "full"])
+    def test_bad_input_without_stderr_exits_2_with_empty_stdout(self, stderr):
+        # The error line goes to stderr or nowhere, never to stdout; a stderr
+        # that refuses it must not turn status 2 into a traceback's 1.
+        if stderr == "closed":
+            proc = self._spot_to(
+                subprocess.PIPE, "2", x="bad", preexec_fn=lambda: os.close(2)
+            )
+        else:
+            if not os.path.exists("/dev/full"):
+                pytest.skip("no /dev/full")
+            with open("/dev/full", "w") as full:
+                proc = self._spot_to(subprocess.PIPE, "2", x="bad", stderr=full)
+        assert (proc.returncode, proc.stdout) == (2, "")
 
     @pytest.mark.parametrize("n", ["2", "2..2000"], ids=["small", "large"])
     def test_closed_pipe_exits_2_with_one_line(self, n):

@@ -6,7 +6,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ulplab.search as search
@@ -213,6 +213,36 @@ class TestExactKernel:
         k_lo = data.draw(st.integers(0, (1 << (p - 1)) - 8), label="k_lo")
         width = data.draw(st.integers(2, 8), label="width")
         self.ranked(p, n, ties_away, k_lo, k_lo + width)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        p_away=st.one_of(st.tuples(st.integers(27, 52), st.booleans()), st.just((26, True))),
+        n=st.integers(2, 40),
+        k=st.integers(0, (1 << 51) - 1),
+        tie=st.booleans(),
+        width=st.integers(1, 6),
+    )
+    # x = 1 + 2^-9 ties at its third and fourth powers, the second time with
+    # an odd significand below the tie.
+    @example(p_away=(27, False), n=4, k=1 << 17, tie=False, width=1)
+    @example(p_away=(27, True), n=4, k=1 << 17, tie=False, width=1)
+    # This x, about 2^(1/3), rounds its cube up to 2: the significand carries.
+    @example(p_away=(31, False), n=3, k=630717077, tie=False, width=1)
+    def test_integer_step_matches_oracle(self, p_away, n, k, tie, width):
+        # The precisions and modes where the integer step is the only kernel.
+        # A significand with exactly (p - 1) // 2 trailing zero bits squares
+        # to a tie about half the time.
+        p, ties_away = p_away
+        k_lo = k % (1 << (p - 1))
+        if tie:
+            zeros = (p - 1) // 2
+            k_lo = (k_lo >> zeros | 1) << zeros
+        k_hi = min(k_lo + width, 1 << (p - 1))
+        want = []
+        for j in range(k_lo, k_hi):
+            x = Fraction((1 << (p - 1)) + j, 1 << (p - 1))
+            want.append(oracle_error_ulps(oracle_power(x, n, p, ties_away), x**n, p))
+        assert self.ranked(p, n, ties_away, k_lo, k_hi) == want
 
     def test_errors_beyond_float_range(self):
         # Five of these errors pass 2**1024 ulps, where the float quotient
