@@ -135,6 +135,8 @@ def verify_prefixes(
     """Yield ``verify_sequence(factors[:n])`` for each n of the ascending
     ``ns``, from one rounded fold and one running exact product, so that a
     range costs a linear-time ``relative_error`` per prefix and no more."""
+    if not ns:
+        return
     trace = iterated_product(factors[: ns[-1]], RoundingMode.TIES_EVEN)
     directions = step_directions(trace)
     downs = next((i for i, d in enumerate(directions) if d != DOWN), len(directions))

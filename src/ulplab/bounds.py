@@ -14,7 +14,8 @@ from collections.abc import Iterator
 from fractions import Fraction
 from math import isqrt
 
-from .exact import _EXACT, _coprime_fraction
+from .exact import _EXACT
+from .softfloat import _coprime_fraction
 
 __all__ = [
     "BoundSet",

@@ -32,7 +32,7 @@ from .bounds import (
     n_max,
     psi_fractions,
 )
-from .exact import _int_str, _trailing_zeros, to_decimal
+from .exact import _int_str, to_decimal
 from .search import DEFAULT_CHUNK_SIZE, PRECISION_GUARD, exhaustive_max_error, spot_error
 from .softfloat import FpNumber, RoundingMode, _check_precision, round_nearest
 
@@ -121,17 +121,6 @@ def _fp_repr(x: FpNumber) -> str:
     if shift <= 0:
         return sign + _int_str(x.significand << -shift)
     return f"{sign}{x.significand}/2^{shift}"
-
-
-def _fraction_str(x: FpNumber) -> str:
-    """``str(x.to_fraction())`` without the Fraction: the significand's
-    trailing zero bits cancel against the power-of-two denominator."""
-    shift = x.precision - 1 - x.exponent
-    if x.is_zero or shift <= 0:
-        return _fp_repr(x)
-    t = min(_trailing_zeros(x.significand), shift)
-    num = f"{'-' if x.sign < 0 else ''}{x.significand >> t}"
-    return num if t == shift else f"{num}/{1 << shift - t}"
 
 
 def _error_obj(err: Fraction, digits: int, den: str = "") -> dict:
@@ -328,7 +317,7 @@ def _cmd_adversary(args: argparse.Namespace) -> tuple[int, str]:
     _budget(args, range(args.n, args.n + 1), "the product of {} factors")
     factors = build_sequence(args.p, args.n)
     report = verify_sequence(factors)
-    values = [_fraction_str(f) for f in factors]
+    values = [str(f.to_fraction()) for f in factors]
     # gap = (n-1) - achieved_error has the error's reduced denominator
     den = _int_str(report.achieved_error.denominator)
     err = _error_obj(report.achieved_error, args.digits, den)

@@ -16,7 +16,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .softfloat import FpNumber
+from .softfloat import FpNumber, _coprime_fraction, _trailing_zeros
 
 __all__ = ["relative_error", "to_decimal"]
 
@@ -55,19 +55,6 @@ def relative_error(
     num = (diff << p >> twos) // odd
     den = (N << b >> twos) // odd
     return _coprime_fraction(num, den)
-
-
-def _trailing_zeros(n: int) -> int:
-    """The exponent of the largest power of two dividing ``n != 0``."""
-    return (n & -n).bit_length() - 1
-
-
-def _coprime_fraction(num: int, den: int) -> Fraction:
-    """``Fraction(num, den)`` for coprime ``num`` and ``den > 0``, without
-    the gcd that the constructor spends on re-reducing them."""
-    f = object.__new__(Fraction)
-    f._numerator, f._denominator = num, den
-    return f
 
 
 def _lowest_terms(num: int, den: int, X0: int) -> Fraction:

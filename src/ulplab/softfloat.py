@@ -34,6 +34,19 @@ class RoundingMode(Enum):
     TIES_AWAY = "away"  # on a tie, pick the larger magnitude
 
 
+def _trailing_zeros(n: int) -> int:
+    """The exponent of the largest power of two dividing ``n != 0``."""
+    return (n & -n).bit_length() - 1
+
+
+def _coprime_fraction(num: int, den: int) -> Fraction:
+    """``Fraction(num, den)`` for coprime ``num`` and ``den > 0``, without
+    the gcd that the constructor spends on re-reducing them."""
+    f = object.__new__(Fraction)
+    f._numerator, f._denominator = num, den
+    return f
+
+
 def _check_precision(p: int) -> None:
     if not isinstance(p, int) or p < 2:
         raise ValueError(f"precision must be an integer >= 2, got {p!r}")
@@ -77,13 +90,14 @@ class FpNumber(namedtuple("FpNumber", "sign significand exponent precision")):
         return self.significand == 0
 
     def to_fraction(self) -> Fraction:
-        """Exact value ``sign * X * 2**(e - p + 1)``."""
-        if self.is_zero:
-            return Fraction(0)
-        s = self.exponent - self.precision + 1
-        if s >= 0:
-            return Fraction(self.sign * (self.significand << s))
-        return Fraction(self.sign * self.significand, 1 << -s)
+        """Exact value ``sign * X * 2**(e - p + 1)``, in lowest terms: X's
+        trailing zero bits cancel against the power-of-two denominator, so
+        no gcd is taken."""
+        X, s = self.significand, self.exponent - self.precision + 1
+        if s >= 0 or not X:
+            return _coprime_fraction(self.sign * (X << max(s, 0)), 1)
+        t = min(_trailing_zeros(X), -s)
+        return _coprime_fraction(self.sign * (X >> t), 1 << -s - t)
 
     @staticmethod
     def zero(p: int) -> "FpNumber":

@@ -70,6 +70,15 @@ class TestBuildSequence:
         assert isinstance(info.value, ValueError)
         assert str(info.value) == "step 28: partial product fell back to 1"
 
+    def test_partial_leaving_unit_binade_is_refused(self, monkeypatch):
+        import ulplab.adversary as adversary
+
+        two = FpNumber(1, 1 << 23, 1, 24)
+        monkeypatch.setattr(adversary, "fp_mul", lambda a, b, mode: two)
+        with pytest.raises(SequenceConstructionError) as info:
+            build_sequence(24, 3)
+        assert str(info.value) == "step 2: partial product left [1, 2): 2"
+
     def test_partials_stay_in_unit_binade(self):
         trace = iterated_product(build_sequence(24, 60))
         for partial in trace.partials[1:]:
@@ -236,6 +245,10 @@ class TestVerifyPrefixes:
         ns = [1, 2, 17, 18, 50]
         want = [verify_sequence(factors[:n]) for n in ns]
         assert list(verify_prefixes(factors, ns)) == want
+
+    @pytest.mark.parametrize("ns", [[], range(3, 3)])
+    def test_no_prefixes_no_reports(self, ns):
+        assert list(verify_prefixes(build_sequence(24, 5), ns)) == []
 
     @pytest.mark.parametrize("ns", [[0], [3, 3], [5, 4], [51]])
     def test_prefixes_must_ascend_within_the_factors(self, ns):

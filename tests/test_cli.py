@@ -18,7 +18,6 @@ from ulplab.cli import (
     MAX_PRECISION,
     CliError,
     _fp_repr,
-    _fraction_str,
     _parse_range,
     _parse_x,
     main,
@@ -82,36 +81,22 @@ class TestHelpers:
             x = _parse_x(text, 24)
             assert _parse_x(_fp_repr(x), 24) == x
 
-    @pytest.mark.parametrize(
-        "x",
-        [
-            FpNumber.zero(24),
-            FpNumber(1, 1 << 23, 0, 24),  # 1: a whole denominator cancels
-            FpNumber(1, 1 << 23, 5, 24),  # 32: more zero bits than the shift
-            FpNumber(1, 1 << 23, -1, 24),  # 1/2
-            FpNumber(1, 3 << 22, 0, 24),  # 3/2: one bit short of an integer
-            FpNumber(-1, 3 << 22, -3, 24),  # -3/16
-            FpNumber(1, (1 << 24) - 1, -40, 24),  # odd significand
-            FpNumber(-1, 5 << 21, 23, 24),  # integer, shift 0
-            FpNumber(1, 9 << 20, 100, 24),  # integer above the significand
-        ],
-    )
-    def test_fraction_str_of_any_value(self, x):
-        assert _fraction_str(x) == str(x.to_fraction())
-
     @settings(max_examples=40, deadline=None)
     @given(p=st.integers(min_value=8, max_value=113), n=st.integers(2, 1000))
     @example(p=8, n=1000)
     @example(p=113, n=1000)
-    def test_fraction_str_of_adversary_factors(self, p, n):
-        # the factor strings adversary prints are str() of each Fraction
+    def test_adversary_factors_in_lowest_terms(self, p, n):
+        # each factor string is that of the Fraction the constructor reduces
         try:
             factors = build_sequence(p, n)
         except SequenceConstructionError:
             assume(False)
-        assert [_fraction_str(f) for f in factors] == [
-            str(f.to_fraction()) for f in factors
-        ]
+        _, text = run(["adversary", "--p", str(p), "--n", str(n), "--format", "json"])
+        want = []
+        for f in factors:
+            s = f.exponent - p + 1
+            want.append(str(Fraction(f.sign * f.significand << max(s, 0), 1 << max(-s, 0))))
+        assert json.loads(text)["factors"] == want
 
 
 class TestJsonIsCanonical:

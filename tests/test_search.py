@@ -89,6 +89,8 @@ class TestExhaustiveMaxError:
             exhaustive_max_error(8, 3, k_start=5, k_stop=5)
         with pytest.raises(ValueError):
             exhaustive_max_error(8, 3, k_start=0, k_stop=1 << 10)
+        with pytest.raises(ValueError, match="chunk_size must be >= 1"):
+            exhaustive_max_error(8, 3, chunk_size=0)
 
     def test_precision_guard(self):
         with pytest.raises(ValueError):

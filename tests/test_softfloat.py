@@ -322,6 +322,42 @@ class TestToRational:
     def test_round_trip(self, x):
         assert round_nearest(x.to_fraction(), 16) == x
 
+    @pytest.mark.parametrize(
+        "x",
+        [
+            FpNumber.zero(24),
+            FpNumber(1, 1 << 23, 0, 24),  # 1: a whole denominator cancels
+            FpNumber(1, 1 << 23, 5, 24),  # 32: more zero bits than the shift
+            FpNumber(1, 1 << 23, -1, 24),  # 1/2
+            FpNumber(1, 3 << 22, 0, 24),  # 3/2: one bit short of an integer
+            FpNumber(-1, 3 << 22, -3, 24),  # -3/16
+            FpNumber(1, (1 << 24) - 1, -40, 24),  # odd significand
+            FpNumber(-1, 5 << 21, 23, 24),  # integer, shift 0
+            FpNumber(1, 9 << 20, 100, 24),  # integer above the significand
+        ],
+    )
+    def test_lowest_terms(self, x):
+        assert_lowest_terms(x)
+
+    @given(data=st.data(), p=st.integers(2, 200))
+    def test_lowest_terms_of_any_value(self, data, p):
+        # clearing low bits leaves the top one: trailing zeros up to p - 1
+        X = data.draw(st.integers(1 << (p - 1), (1 << p) - 1))
+        z = data.draw(st.integers(0, p - 1))
+        e = data.draw(st.integers(-1000, 1000))
+        assert_lowest_terms(FpNumber(data.draw(st.sampled_from([1, -1])), X >> z << z, e, p))
+        assert_lowest_terms(FpNumber.zero(p))
+
+
+def assert_lowest_terms(x: FpNumber) -> None:
+    """x.to_fraction() has the numerator and denominator of the Fraction
+    that the constructor reduces."""
+    s = x.exponent - x.precision + 1
+    want = Fraction(x.sign * x.significand << max(s, 0), 1 << max(-s, 0))
+    got = x.to_fraction()
+    assert type(got) is Fraction
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
 
 def revalidated(x: FpNumber) -> FpNumber:
     """x rebuilt through the public constructor, which checks every field."""
