@@ -137,6 +137,8 @@ def verify_prefixes(
     range costs a linear-time ``relative_error`` per prefix and no more."""
     if not ns:
         return
+    if any(a >= b for a, b in zip(ns, ns[1:])):
+        raise ValueError(f"prefixes must ascend strictly, got {list(ns)}")
     trace = iterated_product(factors[: ns[-1]], RoundingMode.TIES_EVEN)
     directions = step_directions(trace)
     downs = next((i for i, d in enumerate(directions) if d != DOWN), len(directions))

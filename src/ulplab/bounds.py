@@ -84,6 +84,8 @@ def psi_fractions(p: int, ns: range) -> Iterator[str]:
     """
     if ns.step != 1 or (ns and ns[0] < 2):
         raise ValueError(f"need a range of consecutive n >= 2, got {ns}")
+    if p < 2:
+        raise ValueError(f"precision must be >= 2, got {p}")
     U = _EXACT.power(2, p)
     U1 = _EXACT.add(U, 1)
     a = None

@@ -57,17 +57,6 @@ def relative_error(
     return _coprime_fraction(num, den)
 
 
-def _lowest_terms(num: int, den: int, X0: int) -> Fraction:
-    """``Fraction(num, den)`` for den a power of X0 > 0.  den's odd primes
-    are X0's, so with the common twos stripped the fraction is reduced if
-    num is prime to X0's odd part; only otherwise is a big gcd taken."""
-    X0_odd = X0 >> _trailing_zeros(X0)
-    if num and math.gcd(num % X0_odd, X0_odd) == 1:
-        twos = min(_trailing_zeros(num), _trailing_zeros(den))
-        return _coprime_fraction(num >> twos, den >> twos)
-    return Fraction(num, den)
-
-
 def to_decimal(value: Fraction, digits: int = 9) -> str:
     """Decimal expansion with ``digits`` fractional digits, truncated toward zero.
 

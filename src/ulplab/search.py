@@ -144,7 +144,7 @@ from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 
 from .algorithms import naive_power
-from .exact import _lowest_terms, relative_error
+from .exact import relative_error
 from .softfloat import FpNumber, RoundingMode, _check_precision
 
 __all__ = ["SearchReport", "exhaustive_max_error", "spot_error"]
@@ -188,13 +188,15 @@ _MIN_RUN = 8
 _RUN_GATE = 64
 
 
-def _scan_chunk(args: tuple[int, int, bool, int, int]) -> tuple[int, int, int, int]:
+def _scan_chunk(args: tuple[int, int, bool, int, int]) -> tuple[int, int, int, int, int, int]:
     """Scan one contiguous significand range; args = (p, n, ties_away, k_lo, k_hi).
 
-    Returns (best_num, best_den, best_k, violations) where best_num/best_den
-    is the largest error in ulps over the range (unreduced) and best_k the
-    smallest k attaining it.  With 2 <= n <= 2**(p+8) + 1, TIES_EVEN at
-    p <= 26 and TIES_AWAY at p <= 25 with n * 2**12 <= 2**(2p) run
+    Returns (best_num, best_den, best_k, violations, Xc, ec) where
+    best_num/best_den is the largest error in ulps over the range
+    (unreduced), best_k the smallest k attaining it, and Xc * 2**(ec+1-p),
+    2**(p-1) <= Xc < 2**p, that candidate's rounded power of
+    x = X0 * 2**(1-p).  With 2 <= n <= 2**(p+8) + 1, TIES_EVEN at p <= 26
+    and TIES_AWAY at p <= 25 with n * 2**12 <= 2**(2p) run
     ``_scan_binary64``; everything else runs ``_scan_exact``.  Both return
     the same tuple; the module docstring gives the proof.
     """
@@ -208,7 +210,7 @@ def _scan_chunk(args: tuple[int, int, bool, int, int]) -> tuple[int, int, int, i
     return _scan_exact(args)
 
 
-def _scan_exact(args: tuple[int, int, bool, int, int]) -> tuple[int, int, int, int]:
+def _scan_exact(args: tuple[int, int, bool, int, int]) -> tuple[int, int, int, int, int, int]:
     """Integer kernel: every candidate iterated and scored exactly.
 
     The power iteration tracks (significand, exponent) pairs and the error
@@ -222,6 +224,7 @@ def _scan_exact(args: tuple[int, int, bool, int, int]) -> tuple[int, int, int, i
     full_bits = 2 * p
     expo_scale = (n - 1) * (p - 1)
     best_num, best_den, best_k, best = -1, 1, -1, -1.0  # best: the float quotient
+    best_Xc = best_ec = 0
     violations = 0
     nm1 = n - 1
     hardware = p == 53 and not ties_away
@@ -261,12 +264,13 @@ def _scan_exact(args: tuple[int, int, bool, int, int]) -> tuple[int, int, int, i
             err = math.inf
         if err > best or (err == best and err_num * best_den > best_num * x_pow):
             best_num, best_den, best_k, best = err_num, x_pow, k, err
+            best_Xc, best_ec = Xc, ec
         if err_num > nm1 * x_pow:
             violations += 1
-    return best_num, best_den, best_k, violations
+    return best_num, best_den, best_k, violations, best_Xc, best_ec
 
 
-def _scan_binary64(args: tuple[int, int, bool, int, int]) -> tuple[int, int, int, int]:
+def _scan_binary64(args: tuple[int, int, bool, int, int]) -> tuple[int, int, int, int, int, int]:
     """Binary64 kernel for TIES_EVEN at p <= 26 and TIES_AWAY at p <= 25:
     iterate in doubles, keep what the gamma_n filter cannot rule out, then
     score the kept candidates exactly, largest estimate first (see the
@@ -365,15 +369,19 @@ def _scan_binary64(args: tuple[int, int, bool, int, int]) -> tuple[int, int, int
     half_sig = 1 << (p - 1)
     to_sig = float(half_sig)  # v * to_sig is v's integral significand
     expo_scale = nm1 * (p - 1)
-    state = (-1, 1, -1, 0)
+    state = (-1, 1, -1, 0, 0, 0)
     lo, hi = 2.0, 0.0
     for rho_hat, k, v, ec in kept:
         if lo <= rho_hat <= hi:
             continue
+        Xc = int(v * to_sig)
+        if Xc >> p:  # v rounded up to 2
+            Xc, ec = half_sig, ec + 1
         x_pow = (half_sig + k) ** n
-        err_num = abs((int(v * to_sig) << (ec + expo_scale)) - x_pow) << p
+        err_num = abs((Xc << (ec + expo_scale)) - x_pow) << p
         err = err_num / x_pow
-        state = _merge(state, (err_num, x_pow, k, int(err_num > nm1 * x_pow)), err)
+        part = (err_num, x_pow, k, int(err_num > nm1 * x_pow), Xc, ec)
+        state = _merge(state, part, err)
         if state[2] == k:
             # Strictly below the exact best, so a candidate inside the band
             # loses to it whatever the order.
@@ -462,17 +470,14 @@ def _error_floor(rho_hat: float, gamma: float) -> float:
     return (1.0 - q) - 2.0**-49  # here q < 1 wherever the result is used
 
 
-def _merge(
-    state: tuple[int, int, int, int],
-    part: tuple[int, int, int, int],
-    new: float | None = None,
-) -> tuple[int, int, int, int]:
+def _merge(state: tuple, part: tuple, new: float | None = None) -> tuple:
     # Associative and commutative: larger error wins, ties prefer smaller k.
     # Int true division rounds correctly, hence monotonically, so unequal
     # quotients already order the errors; only equal ones need the exact
     # cross-multiplication.  ``new``, if given, is part's quotient already.
-    num, den, k, viol = state
-    pnum, pden, pk, pviol = part
+    # The result is the winner's tuple with the violations summed.
+    num, den, k, viol = state[:4]
+    pnum, pden, pk, pviol = part[:4]
     try:
         old = num / den
         if new is None:
@@ -481,9 +486,8 @@ def _merge(
         new = old = 0.0
     if new == old:
         new, old = pnum * den, num * pden
-    if new > old or (new == old and 0 <= pk < k):
-        num, den, k = pnum, pden, pk
-    return num, den, k, viol + pviol
+    win = part if new > old or (new == old and 0 <= pk < k) else state
+    return (*win[:3], viol + pviol, *win[4:])
 
 
 def _pool(workers: int) -> concurrent.futures.ProcessPoolExecutor:
@@ -498,7 +502,7 @@ def _pooled(
     pool: concurrent.futures.ProcessPoolExecutor,
     chunks: Iterable[tuple[int, int, bool, int, int]],
     depth: int,
-) -> Iterator[tuple[tuple[int, int, bool, int, int], tuple[int, int, int, int]]]:
+) -> Iterator[tuple[tuple[int, int, bool, int, int], tuple[int, int, int, int, int, int]]]:
     """Yield (chunk, _scan_chunk(chunk)) in order, scanned in ``pool`` with
     at most ``depth`` chunks submitted and not yet taken.  A worker that
     dies is an OSError, like any other failure of the machine."""
@@ -614,6 +618,8 @@ def exhaustive_max_error(
         raise ValueError(f"bad significand window [{k_start}, {k_stop})")
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
 
     ties_away = mode is RoundingMode.TIES_AWAY
     expect = {
@@ -623,15 +629,15 @@ def exhaustive_max_error(
         "k_start": k_start,
         "k_stop": k_stop,
     }
-    state = (-1, 1, -1, 0)
+    state = (-1, 1, -1, 0, 0, 0)
     next_k = k_start
     saved = _load_checkpoint(checkpoint, expect) if checkpoint else None
     if saved:
         # The best error is a function of best_k alone: score that one input
         # again, with the kernel and formula that scored it in the first place.
         next_k, best_k, violations = saved
-        num, den, _, _ = _scan_chunk((p, n, ties_away, best_k, best_k + 1))
-        state = num, den, best_k, violations
+        num, den, _, _, Xc, ec = _scan_chunk((p, n, ties_away, best_k, best_k + 1))
+        state = num, den, best_k, violations, Xc, ec
 
     # Chunks are made as they are taken, so a scan's memory does not grow
     # with their count.
@@ -671,12 +677,12 @@ def exhaustive_max_error(
         if pool:  # on an error, drop the chunks that have not started
             pool.shutdown(cancel_futures=True)
 
-    num, den, best_k, violations = state
-    argmax = FpNumber(1, (1 << (p - 1)) + best_k, 0, p)
+    _, den, best_k, violations, Xc, ec = state
     return SearchReport(
         n=n,
-        max_error=_lowest_terms(num, den, argmax.significand),
-        argmax_x=argmax,
+        # spot_error's formula on the best's rounded power: den is X0**n
+        max_error=relative_error(FpNumber(1, Xc, ec, p), den, n * (1 - p)),
+        argmax_x=FpNumber(1, (1 << (p - 1)) + best_k, 0, p),
         scanned=k_stop - k_start,
         violations=violations,
         k_start=k_start,

@@ -250,6 +250,11 @@ class TestVerifyPrefixes:
     def test_no_prefixes_no_reports(self, ns):
         assert list(verify_prefixes(build_sequence(24, 5), ns)) == []
 
+    @pytest.mark.parametrize("ns", [[4, 3], [5, 2], [3, 3]])
+    def test_prefixes_that_do_not_ascend_are_named_so(self, ns):
+        with pytest.raises(ValueError, match=r"must ascend strictly, got \[\d, \d\]"):
+            list(verify_prefixes(build_sequence(24, 5), ns))
+
     @pytest.mark.parametrize("ns", [[0], [3, 3], [5, 4], [51]])
     def test_prefixes_must_ascend_within_the_factors(self, ns):
         with pytest.raises(ValueError):

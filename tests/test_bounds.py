@@ -122,6 +122,13 @@ class TestPsiFractions:
         with pytest.raises(ValueError, match="range of consecutive n >= 2"):
             next(fold)
 
+    @pytest.mark.parametrize("p", [-1, 0, 1])
+    def test_precision_below_2_refused_as_bound_set_refuses_it(self, p):
+        with pytest.raises(ValueError, match=f"precision must be >= 2, got {p}"):
+            list(psi_fractions(p, range(2, 4)))
+        with pytest.raises(ValueError, match=f"precision must be >= 2, got {p}"):
+            bound_set(p, 2)
+
     def test_leaves_the_callers_decimal_context_alone(self):
         ctx = decimal.getcontext()
 

@@ -5,7 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ulplab import (
@@ -20,7 +20,8 @@ from ulplab import (
     to_decimal,
     verify_sequence,
 )
-from ulplab.exact import _STR_DC_BITS, _int_str, _lowest_terms
+from ulplab.exact import _STR_DC_BITS, _int_str
+from ulplab.search import _scan_chunk
 from conftest import int_digit_limit
 from oracle import oracle_error_ulps, oracle_power
 
@@ -169,32 +170,9 @@ class TestRelativeError:
         )
 
 
-@st.composite
-def power_fractions(draw):
-    """(num, X0, n): X0 = 2**t * odd for a small odd part, so that X0 may be a
-    power of two, and num sometimes a multiple of odd primes of X0."""
-    odd = draw(
-        st.sampled_from([1, 3, 5, 9, 15, 21, 105])
-        | st.integers(1, 1 << 30).map(lambda v: v | 1)
-    )
-    X0 = odd << draw(st.integers(0, 30))
-    n = draw(st.integers(1, 40))
-    num = draw(st.integers(0, X0**n * 4))
-    factor = draw(st.sampled_from([1, odd, odd * odd, 3, 1 << 7]))
-    return (num * factor) << draw(st.integers(0, 3)), X0, n
-
-
-class TestLowestTerms:
-    @given(case=power_fractions())
-    @example(case=(0, 1 << 5, 3))  # an exact power: zero error
-    @example(case=(6, 1 << 4, 2))  # X0 a power of two
-    @example(case=(9 * 4, 12, 3))  # num shares X0's odd factor 3
-    @settings(max_examples=400)
-    def test_matches_fraction(self, case):
-        num, X0, n = case
-        got = _lowest_terms(num, X0**n, X0)
-        want = Fraction(num, X0**n)
-        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+class TestSearchErrorReduced:
+    """``search`` reduces its best error as ``relative_error`` reduces any:
+    by one remainder by the p-bit rounded significand."""
 
     def test_scan_report_is_reduced(self):
         # X0 = 40000000 = 2**9 * 78125 and X0**5000 has 126 k bits
@@ -203,6 +181,18 @@ class TestLowestTerms:
         err = report.max_error
         assert math.gcd(err.numerator, err.denominator) == 1
         assert err == spot_error(report.argmax_x, 5000)
+
+    @pytest.mark.parametrize("n", [600, 5000])
+    def test_best_sharing_an_odd_factor_with_x0(self, n):
+        # X0 = 12345684 = 2**2 * 3 * 1028807: the best's error numerator
+        # shares the odd factor 3 with X0**n, its denominator.
+        p, X0 = 24, 12345684
+        k = X0 - (1 << (p - 1))
+        num, den, _, _, _, _ = _scan_chunk((p, n, False, k, k + 1))
+        assert num % 3 == 0
+        err = exhaustive_max_error(p, n, k_start=k, k_stop=k + 1).max_error
+        assert math.gcd(err.numerator, err.denominator) == 1
+        assert err == spot_error(FpNumber(1, X0, 0, p), n) == Fraction(num, den)
 
 
 class TestToDecimal:

@@ -91,6 +91,9 @@ class TestExhaustiveMaxError:
             exhaustive_max_error(8, 3, k_start=0, k_stop=1 << 10)
         with pytest.raises(ValueError, match="chunk_size must be >= 1"):
             exhaustive_max_error(8, 3, chunk_size=0)
+        for jobs in (0, -4):
+            with pytest.raises(ValueError, match="jobs must be >= 1"):
+                exhaustive_max_error(8, 3, jobs=jobs)
 
     def test_precision_guard(self):
         with pytest.raises(ValueError):
@@ -114,7 +117,7 @@ class TestExhaustiveMaxError:
 class TestScanChunkInternals:
     def test_chunk_agrees_with_oracle(self):
         p, n = 9, 4
-        num, den, k, viol = _scan_chunk((p, n, False, 37, 91))
+        num, den, k, viol, Xc, ec = _scan_chunk((p, n, False, 37, 91))
         best = Fraction(-1)
         best_k = None
         count = 0
@@ -128,6 +131,8 @@ class TestScanChunkInternals:
         assert Fraction(num, den) == best
         assert k == best_k
         assert viol == count
+        x = Fraction((1 << (p - 1)) + k, 1 << (p - 1))
+        assert FpNumber(1, Xc, ec, p).to_fraction() == oracle_power(x, n, p)
 
     def test_merge_prefers_larger_then_smaller_k(self):
         a = (3, 2, 10, 1)  # error 3/2 at k=10, 1 violation
@@ -196,9 +201,9 @@ class TestExactKernel:
     def ranked(p, n, ties_away, k_lo, k_hi):
         errs = []
         for k in range(k_lo, k_hi):
-            num, den, _, _ = _scan_exact((p, n, ties_away, k, k + 1))
+            num, den, _, _, _, _ = _scan_exact((p, n, ties_away, k, k + 1))
             errs.append(Fraction(num, den))
-        num, den, best_k, viol = _scan_exact((p, n, ties_away, k_lo, k_hi))
+        num, den, best_k, viol, _, _ = _scan_exact((p, n, ties_away, k_lo, k_hi))
         assert Fraction(num, den) == max(errs)
         assert best_k == k_lo + errs.index(max(errs))
         assert viol == sum(err > n - 1 for err in errs)
@@ -331,7 +336,7 @@ class TestBinary64Kernel:
             k = X0 - (1 << (p - 1))
             for mode in (EVEN, AWAY) if p <= 25 else (EVEN,):  # TIES_AWAY: p <= 25
                 for n in (2, 3, 7):
-                    num, den, _, _ = _both_kernels(p, n, k, k + 1, mode)
+                    num, den, _, _, _, _ = _both_kernels(p, n, k, k + 1, mode)
                     want = oracle_error_ulps(oracle_power(x, n, p, mode is AWAY), x**n, p)
                     assert Fraction(num, den) == want
                     _both_kernels(p, n, *_window(p, k, 8), mode)
@@ -356,15 +361,21 @@ class TestBinary64Kernel:
         assert y.numerator & (y.numerator - 1) == 0  # a power of two
         assert y.denominator & (y.denominator - 1) == 0
         for n in (j, j + 1, j + 4):
-            num, den, _, _ = _both_kernels(p, n, k, k + 1)
+            num, den, _, _, _, _ = _both_kernels(p, n, k, k + 1)
             assert Fraction(num, den) == oracle_error_ulps(oracle_power(x, n, p), x**n, p)
             _both_kernels(p, n, *_window(p, k, 16))
+
+    def test_last_step_rounding_up_to_two_gives_a_normal_significand(self):
+        # At p = 3, x = 5/4, the binary64 kernel's v rounds up to 2 at the
+        # last step; its rounded power must read (4, 683), not (8, 682).
+        *_, Xc, ec = _both_kernels(3, 2049, 1, 2)
+        assert (Xc, ec) == (4, 683)
 
     @pytest.mark.parametrize("p", [2, 3, 9, 17, 26])
     def test_n1_and_n2(self, p):
         space = 1 << (p - 1)
         for lo, hi in ((0, min(space, 40)), (space // 3, min(space, space // 3 + 40))):
-            num, _, k, viol = _both_kernels(p, 1, lo, hi)
+            num, _, k, viol, _, _ = _both_kernels(p, 1, lo, hi)
             assert (num, k, viol) == (0, lo, 0)
             _both_kernels(p, 2, lo, hi)
 
@@ -492,7 +503,7 @@ class TestP53:
     @pytest.mark.parametrize("n", [2, 3, 6, 100, 2000])
     def test_windows(self, mode, n):
         for k_lo in self.WINDOWS:
-            num, den, best_k, viol = _scan_chunk((53, n, mode is AWAY, k_lo, k_lo + 5))
+            num, den, best_k, viol, _, _ = _scan_chunk((53, n, mode is AWAY, k_lo, k_lo + 5))
             errs = [spot_error(FpNumber(1, (1 << 52) + k, 0, 53), n, mode)
                     for k in range(k_lo, k_lo + 5)]
             assert Fraction(num, den) == max(errs)
@@ -512,7 +523,7 @@ class TestP53:
             assert oracle_round(x * x, 53) != oracle_round(x * x, 53, ties_away=True)
             for n in (2, 3, 7):
                 k = X0 - (1 << 52)
-                num, den, _, _ = _scan_chunk((53, n, mode is AWAY, k, k + 1))
+                num, den, _, _, _, _ = _scan_chunk((53, n, mode is AWAY, k, k + 1))
                 want = oracle_error_ulps(oracle_power(x, n, 53, mode is AWAY), x**n, 53)
                 assert Fraction(num, den) == want
 
@@ -525,7 +536,7 @@ class TestP53:
         assert x * prev < 2
         assert oracle_power(x, j + 1, 53) == 2
         for n in (j + 1, j + 2, j + 5):
-            num, den, _, _ = _scan_chunk((53, n, False, k, k + 1))
+            num, den, _, _, _, _ = _scan_chunk((53, n, False, k, k + 1))
             assert Fraction(num, den) == spot_error(FpNumber(1, (1 << 52) + k, 0, 53), n)
             assert Fraction(num, den) == oracle_error_ulps(oracle_power(x, n, 53), x**n, 53)
 
@@ -961,10 +972,11 @@ class TestPool:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_memory_does_not_grow_with_the_chunk_count(self, jobs, monkeypatch):
-        # Each chunk is one candidate scored as 0 without any work, so what
+        # Each chunk is one candidate scored without any work as x = 1 is:
+        # error 0 against X0**3 = 2**57, power 2**19 * 2**(0+1-20).  So what
         # could grow is the scan's own bookkeeping: a list of 2**14 chunk
         # tuples, made up front, would take about 2.5 MB.
-        monkeypatch.setattr(search, "_scan_chunk", lambda args: (0, 1, args[3], 0))
+        monkeypatch.setattr(search, "_scan_chunk", lambda args: (0, 1 << 57, args[3], 0, 1 << 19, 0))
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
 
         def peak(chunks):
