@@ -132,20 +132,18 @@ def verify_sequence(factors: tuple[FpNumber, ...]) -> SequenceReport:
 def verify_prefixes(
     factors: tuple[FpNumber, ...], ns: Sequence[int]
 ) -> Iterator[SequenceReport]:
-    """Yield ``verify_sequence(factors[:n])`` for each n of the ascending
-    ``ns``, from one rounded fold and one running exact product, so that a
-    range costs a linear-time ``relative_error`` per prefix and no more."""
+    """Yield ``verify_sequence(factors[:n])`` for each n of ``ns``, which must
+    ascend strictly within 1..len(factors), from one rounded fold and one
+    running exact product: a range costs a ``relative_error`` per prefix."""
     if not ns:
         return
-    if any(a >= b for a, b in zip(ns, ns[1:])):
-        raise ValueError(f"prefixes must ascend strictly, got {list(ns)}")
+    if ns[0] < 1 or ns[-1] > len(factors) or any(a >= b for a, b in zip(ns, ns[1:])):
+        raise ValueError(f"prefixes must ascend strictly within 1..{len(factors)}, got {ns!r}")
     trace = iterated_product(factors[: ns[-1]], RoundingMode.TIES_EVEN)
     directions = step_directions(trace)
     downs = next((i for i, d in enumerate(directions) if d != DOWN), len(directions))
     N, shift, done = 1, 0, 0
     for n in ns:
-        if not done < n <= len(trace.partials):
-            raise ValueError(f"prefix {n} is not in {done + 1}..{len(factors)}")
         new_N, new_shift = _exact_product(factors[done:n])
         N, shift, done = N * new_N, shift + new_shift, n
         achieved = relative_error(trace.partials[n - 1], N, shift)

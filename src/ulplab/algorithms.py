@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .softfloat import FpNumber, RoundingMode, fp_mul
+from .softfloat import FpNumber, RoundingMode, _check_mode, fp_mul
 
 __all__ = [
     "ProductTrace",
@@ -57,6 +57,7 @@ def naive_power(
     """Iterate y <- round(x * y) for k = 2..n and return y; n = 1 gives x."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    _check_mode(mode)
     y = x
     for _ in range(n - 1):
         y = fp_mul(x, y, mode)
@@ -70,6 +71,7 @@ def iterated_product(
     """Left-to-right rounded product of the factors, recording every partial."""
     if not factors:
         raise ValueError("at least one factor is required")
+    _check_mode(mode)
     acc = factors[0]
     partials = [acc]
     for f in factors[1:]:

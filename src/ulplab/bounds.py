@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .exact import _EXACT
-from .softfloat import _coprime_fraction
+from .softfloat import _check_precision, _coprime_fraction
 
 __all__ = [
     "BoundSet",
@@ -58,8 +58,7 @@ def bound_set(p: int, n: int) -> BoundSet:
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    if p < 2:
-        raise ValueError(f"precision must be >= 2, got {p}")
+    _check_precision(p)
     k, U = n - 1, 1 << p
     if k >= U:
         raise ValueError(f"gamma undefined: (n-1)*u = {Fraction(k, U)} >= 1")
@@ -74,27 +73,24 @@ def psi_fractions(p: int, ns: range) -> Iterator[str]:
     """The text ``"num/den"`` of ``bound_set(p, n).psi`` for each n in ``ns``,
     a range of consecutive n >= 2.
 
-    (U+1)**k and U**(k-1) (U = 2**p, k = n-1) are carried as exact
-    ``decimal`` integers and multiplied once per row, so a row costs time
-    linear in its length, where ``str()`` of psi's int numerator is
-    quadratic.  A row is formed only when it is asked for, so a caller that
-    validates each n with ``bound_set`` first refuses a bad n before the
-    fold reaches it.  Every operation goes through ``exact``'s exact
-    context; the caller's decimal context is never touched.
+    (U+1)**k and U**k (U = 2**p, k = n-1) are carried as exact ``decimal``
+    integers from the row before the first and multiplied once per row, so
+    a row costs time linear in its length, where ``str()`` of psi's int
+    numerator is quadratic.  A row is formed only when it is asked for, so
+    a caller that validates each n with ``bound_set`` first refuses a bad n
+    before the fold reaches it.  Every operation goes through ``exact``'s
+    exact context; the caller's decimal context is never touched.
     """
     if ns.step != 1 or (ns and ns[0] < 2):
         raise ValueError(f"need a range of consecutive n >= 2, got {ns}")
-    if p < 2:
-        raise ValueError(f"precision must be >= 2, got {p}")
+    _check_precision(p)
+    if not ns:
+        return
     U = _EXACT.power(2, p)
     U1 = _EXACT.add(U, 1)
-    a = None
-    for n in ns:
-        if a is None:
-            a, den = _EXACT.power(U1, n - 1), _EXACT.power(U, n - 2)
-        else:
-            a, den = _EXACT.multiply(a, U1), top
-        top = _EXACT.multiply(den, U)  # U**k
+    a, top = _EXACT.power(U1, ns[0] - 2), _EXACT.power(U, ns[0] - 2)
+    for _ in ns:
+        a, den, top = _EXACT.multiply(a, U1), top, _EXACT.multiply(top, U)
         yield str(_EXACT.subtract(a, top)) + "/" + str(den)
 
 

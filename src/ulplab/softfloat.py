@@ -52,6 +52,11 @@ def _check_precision(p: int) -> None:
         raise ValueError(f"precision must be an integer >= 2, got {p!r}")
 
 
+def _check_mode(mode: RoundingMode) -> None:
+    if not isinstance(mode, RoundingMode):
+        raise ValueError(f"mode must be a RoundingMode, got {mode!r}")
+
+
 class FpNumber(namedtuple("FpNumber", "sign significand exponent precision")):
     """An immutable precision-p floating-point value: sign, the integral
     significand X (zero, or 2**(p-1) <= X <= 2**p - 1), exponent e and
@@ -127,6 +132,7 @@ def round_nearest(
     bit-length comparison, never by a floating-point logarithm.
     """
     _check_precision(p)
+    _check_mode(mode)
     t = Fraction(t)
     if t == 0:
         return FpNumber.zero(p)
@@ -158,6 +164,8 @@ def fp_mul(
 
     The exact product has at most 2p significand bits, so this is pure
     integer work; the result equals ``round_nearest`` of the exact product.
+    ``mode`` is not checked here, on the per-step path: the callers that
+    loop over ``fp_mul`` check it once per call.
     """
     p = a.precision
     if p != b.precision:

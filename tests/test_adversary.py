@@ -4,7 +4,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ulplab import (
@@ -16,6 +16,7 @@ from ulplab import (
     to_decimal,
     verify_sequence,
 )
+from ulplab import adversary
 from ulplab.adversary import (
     SequenceConstructionError,
     _exact_product,
@@ -252,13 +253,44 @@ class TestVerifyPrefixes:
 
     @pytest.mark.parametrize("ns", [[4, 3], [5, 2], [3, 3]])
     def test_prefixes_that_do_not_ascend_are_named_so(self, ns):
-        with pytest.raises(ValueError, match=r"must ascend strictly, got \[\d, \d\]"):
+        message = f"prefixes must ascend strictly within 1..5, got {ns}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             list(verify_prefixes(build_sequence(24, 5), ns))
 
-    @pytest.mark.parametrize("ns", [[0], [3, 3], [5, 4], [51]])
-    def test_prefixes_must_ascend_within_the_factors(self, ns):
-        with pytest.raises(ValueError):
-            list(verify_prefixes(build_sequence(24, 50), ns))
+    @pytest.mark.parametrize(
+        "ns",
+        [[0], [3, 3], [5, 4], [51], [-1], [0, 3], [3, 9], range(0, 3), range(2, 10**6)],
+    )
+    def test_prefixes_must_ascend_within_the_factors(self, ns, monkeypatch):
+        factors = build_sequence(24, 5)
+
+        def no_fold(*args):
+            raise AssertionError("folded before the prefixes were checked")
+
+        monkeypatch.setattr(adversary, "iterated_product", no_fold)
+        message = f"prefixes must ascend strictly within 1..5, got {ns!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            next(verify_prefixes(factors, ns))
+
+    @settings(deadline=None)
+    @given(
+        length=st.integers(2, 30),
+        ns=st.one_of(
+            st.lists(st.integers(-2, 33), max_size=6),
+            st.sets(st.integers(1, 30), max_size=6).map(sorted),
+        ),
+    )
+    @example(length=5, ns=[0])
+    @example(length=5, ns=[1, 5])
+    def test_any_list_is_refused_or_folded(self, length, ns):
+        factors = build_sequence(24, length)
+        if ns != sorted(set(ns)) or not set(ns) <= set(range(1, length + 1)):
+            message = f"prefixes must ascend strictly within 1..{length}, got {ns}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                list(verify_prefixes(factors, ns))
+        else:
+            want = [verify_sequence(factors[:n]) for n in ns]
+            assert list(verify_prefixes(factors, ns)) == want
 
 
 class TestReferenceErrors:

@@ -69,6 +69,12 @@ class TestNaivePower:
         with pytest.raises(ValueError):
             naive_power(round_nearest(1, 8), 0)
 
+    @pytest.mark.parametrize("mode", ["away", None])
+    def test_mode_must_be_a_rounding_mode(self, mode):
+        x = round_nearest(Fraction(136, 128), 8)
+        with pytest.raises(ValueError, match=f"mode must be a RoundingMode, got {mode!r}"):
+            naive_power(x, 3, mode)
+
     def test_power_of_one_is_exact(self):
         one = round_nearest(1, 24)
         assert naive_power(one, 100).to_fraction() == 1
@@ -132,6 +138,12 @@ class TestIteratedProduct:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             iterated_product([])
+
+    @pytest.mark.parametrize("mode", ["away", None])
+    def test_mode_must_be_a_rounding_mode(self, mode):
+        x = round_nearest(Fraction(136, 128), 8)
+        with pytest.raises(ValueError, match=f"mode must be a RoundingMode, got {mode!r}"):
+            iterated_product([x, x, x], mode)
 
     def test_precision_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ from ulplab import (
     psi_fractions,
     to_decimal,
 )
+from ulplab import bounds
 from ulplab.bounds import (
     _iroot,
     _lemma2_holds,
@@ -60,8 +61,12 @@ class TestBoundSet:
         assert b.simple <= b.psi <= b.gamma
 
     def test_precision_below_2_refused(self):
-        with pytest.raises(ValueError, match="precision must be >= 2, got 1"):
+        with pytest.raises(ValueError, match="precision must be an integer >= 2, got 1"):
             bound_set(1, 3)
+
+    def test_precision_not_an_integer_refused(self):
+        with pytest.raises(ValueError, match=r"precision must be an integer >= 2, got 2\.5"):
+            bound_set(2.5, 3)
 
     @given(
         p=st.integers(min_value=2, max_value=120),
@@ -122,12 +127,17 @@ class TestPsiFractions:
         with pytest.raises(ValueError, match="range of consecutive n >= 2"):
             next(fold)
 
-    @pytest.mark.parametrize("p", [-1, 0, 1])
+    @pytest.mark.parametrize("p", [-1, 0, 1, 1.5])
     def test_precision_below_2_refused_as_bound_set_refuses_it(self, p):
-        with pytest.raises(ValueError, match=f"precision must be >= 2, got {p}"):
+        with pytest.raises(ValueError, match=f"precision must be an integer >= 2, got {p}"):
             list(psi_fractions(p, range(2, 4)))
-        with pytest.raises(ValueError, match=f"precision must be >= 2, got {p}"):
+        with pytest.raises(ValueError, match=f"precision must be an integer >= 2, got {p}"):
             bound_set(p, 2)
+
+    def test_empty_range_forms_no_power(self, monkeypatch):
+        # a fold that reached any power of 2**24 would fail on the bare object
+        monkeypatch.setattr(bounds, "_EXACT", object())
+        assert list(psi_fractions(24, range(10**9, 10**9))) == []
 
     def test_leaves_the_callers_decimal_context_alone(self):
         ctx = decimal.getcontext()

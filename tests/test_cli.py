@@ -76,6 +76,14 @@ class TestHelpers:
         assert _fp_repr(_parse_x("1", 24)) == "8388608/2^23"
         assert _fp_repr(FpNumber.zero(24)) == "0"
 
+    @pytest.mark.parametrize("p,text", [("24", "16777216"), ("2", "-3")])
+    def test_fp_repr_integer_form(self, p, text):
+        # x at or past 2**(p-1) has no fractional bits and prints as an integer
+        code, out = run(["spot", "--p", p, "--x", text, "--n", "2", "--format", "json"])
+        assert code == 0
+        assert f'"x": "{text}"' in out
+        assert _parse_x(json.loads(out)["x"], int(p)) == _parse_x(text, int(p))
+
     def test_fp_repr_round_trips(self):
         for text in ["1", "6", "4097/4096", "8473808/2^23"]:
             x = _parse_x(text, 24)

@@ -1018,6 +1018,20 @@ class TestPrecisionValidation:
             exhaustive_max_error(p, 3)
 
 
+class TestModeValidation:
+    @pytest.mark.parametrize("mode", ["away", None])
+    def test_exhaustive_max_error_refuses_a_mode_that_is_not_one(self, mode):
+        with pytest.raises(ValueError, match=f"mode must be a RoundingMode, got {mode!r}"):
+            exhaustive_max_error(8, 3, mode)
+
+    @pytest.mark.parametrize("mode", ["away", None])
+    def test_spot_error_refuses_a_mode_that_is_not_one(self, mode):
+        # taken as it was, "away" gave the ties-to-even error 4352/4913
+        x = FpNumber(1, (1 << 7) + 8, 0, 8)
+        with pytest.raises(ValueError, match=f"mode must be a RoundingMode, got {mode!r}"):
+            spot_error(x, 3, mode)
+
+
 class TestSpotError:
     def test_x_equals_one(self):
         one = FpNumber(1, 1 << 23, 0, 24)

@@ -151,6 +151,12 @@ class TestRoundNearest:
         assert round_nearest(t, 8, EVEN).to_fraction() == 1
         assert round_nearest(t, 8, AWAY).to_fraction() == 1 + Fraction(1, 128)
 
+    @pytest.mark.parametrize("mode", ["away", None])
+    def test_mode_must_be_a_rounding_mode(self, mode):
+        # "away" is not TIES_AWAY: taken as it was, 5/2 went to 2 (even), not 3
+        with pytest.raises(ValueError, match=f"mode must be a RoundingMode, got {mode!r}"):
+            round_nearest(Fraction(5, 2), 2, mode)
+
     def test_non_tie_goes_to_nearest(self):
         # frozen against a brute-force nearest-gridpoint scan
         t = 1 + 3 * Fraction(1, 512)
