@@ -29,7 +29,14 @@ from collections.abc import Iterator, Sequence
 
 from .algorithms import DOWN, iterated_product, step_directions
 from .exact import relative_error
-from .softfloat import FpNumber, RoundingMode, fp_mul, round_nearest
+from .softfloat import (
+    FpNumber,
+    RoundingMode,
+    _check_length,
+    _check_precision,
+    fp_mul,
+    round_nearest,
+)
 
 __all__ = [
     "SequenceConstructionError",
@@ -89,10 +96,10 @@ def build_sequence(p: int, n: int) -> tuple[FpNumber, ...]:
     of factor i+1 depends on the rounded partial after factor i, so the
     sequence is specific to left-to-right evaluation at precision p.
     """
+    _check_precision(p)
     if p < MIN_PRECISION:
         raise ValueError(f"p must be >= {MIN_PRECISION}, got {p}")
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    _check_length(n, 2)
     mode = RoundingMode.TIES_EVEN
     quarter = 1 << (p - 2)
     seed_k = math.isqrt(quarter)  # floor(2**(p/2 - 1))
@@ -139,6 +146,8 @@ def verify_prefixes(
         return
     if ns[0] < 1 or ns[-1] > len(factors) or any(a >= b for a, b in zip(ns, ns[1:])):
         raise ValueError(f"prefixes must ascend strictly within 1..{len(factors)}, got {ns!r}")
+    for n in ns:  # at most len(factors) of them, by the check above
+        _check_length(n, 1)
     trace = iterated_product(factors[: ns[-1]], RoundingMode.TIES_EVEN)
     directions = step_directions(trace)
     downs = next((i for i, d in enumerate(directions) if d != DOWN), len(directions))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .softfloat import FpNumber, RoundingMode, _check_mode, fp_mul
+from .softfloat import FpNumber, RoundingMode, _check_length, _check_mode, fp_mul
 
 __all__ = [
     "ProductTrace",
@@ -55,8 +55,7 @@ def naive_power(
     mode: RoundingMode = RoundingMode.TIES_EVEN,
 ) -> FpNumber:
     """Iterate y <- round(x * y) for k = 2..n and return y; n = 1 gives x."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_length(n, 1)
     _check_mode(mode)
     y = x
     for _ in range(n - 1):

@@ -5,6 +5,9 @@ integers, ``n_max`` decides its irrational threshold through an integer
 predicate, and the check suites multiply each of the paper's inequalities
 at a rational sample u = a/b through by its denominators, so every case is
 a comparison of integers and no double-precision rounding can leak in.
+A case is first decided by integer interval bounds on its power (1+u)**k,
+held to ``_FRACTION_BITS`` fractional bits, and only a case the interval
+cannot decide is compared exactly.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .exact import _EXACT
-from .softfloat import _check_precision, _coprime_fraction
+from .softfloat import _check_length, _check_precision, _coprime_fraction
 
 __all__ = [
     "BoundSet",
@@ -32,6 +35,15 @@ __all__ = [
 # this many equal parts.
 _LEMMA2_N_GRID = (3, 4, 5, 6, 10, 32, 100, 1000)
 _LEMMA2_SUBDIVISIONS = 16
+
+# Fractional bits F of the check suites' fixed-point powers (1+u)**k.  Each
+# rounding moves a bound by at most 2**-F of a value >= 1, and the rest of a
+# k-th power scales an earlier error at most k-fold, so for k <= 2078 the
+# interval's relative width stays below 2**(13-F), 2**-115 at F = 128: far
+# inside the tightest grid case's relative slack, about 2**-61 (Lemma 2 at
+# n = 1000, u = 2**-40; the refined bound's tightest, at n = 2088, is about
+# 2**-37), so no case of either suite is left to the exact comparison.
+_FRACTION_BITS = 128
 
 
 class BoundSet(namedtuple("BoundSet", "simple psi gamma")):
@@ -56,8 +68,7 @@ def bound_set(p: int, n: int) -> BoundSet:
     term of the numerator but the binomial's 1 is a multiple of U, so it is
     odd and the fraction is already reduced.  gamma = k*U / (U-k).
     """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    _check_length(n, 2)
     _check_precision(p)
     k, U = n - 1, 1 << p
     if k >= U:
@@ -81,8 +92,8 @@ def psi_fractions(p: int, ns: range) -> Iterator[str]:
     before the fold reaches it.  Every operation goes through ``exact``'s
     exact context; the caller's decimal context is never touched.
     """
-    if ns.step != 1 or (ns and ns[0] < 2):
-        raise ValueError(f"need a range of consecutive n >= 2, got {ns}")
+    if not isinstance(ns, range) or ns.step != 1 or (ns and ns[0] < 2):
+        raise ValueError(f"need a range of consecutive n >= 2, got {ns!r}")
     _check_precision(p)
     if not ns:
         return
@@ -128,6 +139,7 @@ def n_max(p: int) -> int:
     when m <= floor(cbrt(B)), so n is isqrt(floor(cbrt(2**(3p+1))) - 2**p)
     and no rounding of the irrational threshold is involved.
     """
+    _check_precision(p)
     if p < 5:
         raise ValueError(f"n_max requires p >= 5, got {p}")
     return isqrt(_iroot(1 << (3 * p + 1), 3) - (1 << p))
@@ -154,18 +166,51 @@ def check_property1() -> CheckReport:
     return CheckReport("property1", holds and k4_fails, 3 * len(grid))
 
 
+def _power_bounds(num: int, den: int, k: int) -> tuple[int, int]:
+    """Integers lo <= (num/den)**k * 2**F <= hi, F = ``_FRACTION_BITS``, for
+    num >= den > 0: square-and-multiply in fixed point, rounding the lower
+    bound down and the upper bound up at every step."""
+    F = _FRACTION_BITS
+    lo, hi = 1 << F, 1 << F
+    base_lo, base_hi = (num << F) // den, -((-num << F) // den)
+    while k:
+        if k & 1:
+            lo, hi = lo * base_lo >> F, -(-hi * base_hi >> F)
+        k >>= 1
+        if k:
+            base_lo, base_hi = base_lo * base_lo >> F, -(-base_hi * base_hi >> F)
+    return lo, hi
+
+
+def _decide(lo: int, hi: int, scale: int, bound: int) -> bool | None:
+    """Whether v * scale <= B, from lo <= v * 2**F <= hi and bound = B * 2**F:
+    True or False where the interval decides it, None where it is open."""
+    if hi * scale <= bound:
+        return True
+    if lo * scale > bound:
+        return False
+    return None
+
+
 def _lemma2_holds(n: int, a: int, b: int, b_pow: int) -> bool:
     m = n * n * a  # b_pow is b**(n-2)
     return (b + a) ** (n - 2) * (b + m + a) * b <= (b + (n - 1) * a) * (b + m) * b_pow
 
 
-def _lemma2_samples(n: int) -> list[tuple[int, int, int]]:
-    # (a, b, b**(n-2)) for u = a/b: 0 to 2/(3n^2) in equal steps, then 2**-j
+def _lemma2_decided(n: int, a: int, b: int) -> bool:
+    # _lemma2_holds divided by b**(n-2): ((b+a)/b)**(n-2) * K <= Q
+    m = n * n * a
+    K, Q = (b + m + a) * b, (b + (n - 1) * a) * (b + m)
+    decided = _decide(*_power_bounds(b + a, b, n - 2), K, Q << _FRACTION_BITS)
+    return _lemma2_holds(n, a, b, b ** (n - 2)) if decided is None else decided
+
+
+def _lemma2_samples(n: int) -> list[tuple[int, int]]:
+    # (a, b) for u = a/b: 0 to 2/(3n^2) in equal steps, then 2**-j
     b = 3 * n * n * _LEMMA2_SUBDIVISIONS
-    b_pow = b ** (n - 2)
-    samples = [(2 * j, b, b_pow) for j in range(_LEMMA2_SUBDIVISIONS + 1)]
+    samples = [(2 * j, b) for j in range(_LEMMA2_SUBDIVISIONS + 1)]
     j = (3 * n * n - 1).bit_length() - 1  # least j with 2**(j+1) >= 3n^2
-    samples += [(1, 1 << jj, 1 << jj * (n - 2)) for jj in range(j, min(j + 20, 64))]
+    samples += [(1, 1 << jj) for jj in range(j, min(j + 20, 64))]
     return samples
 
 
@@ -174,13 +219,16 @@ def check_lemma2() -> CheckReport:
 
     Sampled exactly: the endpoints, a uniform rational subdivision of the
     interval over one denominator, and the dyadic 2**-j inside it.  At
-    u = a/b a case is the inequality times b**(n-1) * (b + n^2 a), both of
-    whose sides have degree n in (a, b), so a pair need not be reduced.
-    This is a regression guard on the inequality, not a proof over the
-    continuum.
+    u = a/b a case is the inequality times b * (b + n^2 a), so it reads
+    ((b+a)/b)**(n-2) * K <= Q with the integers K = (b + n^2 a + a) * b and
+    Q = (b + (n-1)a)(b + n^2 a).  It is decided by integer interval bounds
+    on the power first; only a case they leave open is compared exactly,
+    times b**(n-2) as well, where both sides have degree n in (a, b), so a
+    pair need not be reduced.  This is a regression guard on the
+    inequality, not a proof over the continuum.
     """
     cases = [(n, *c) for n in _LEMMA2_N_GRID for c in _lemma2_samples(n)]
-    holds = all(_lemma2_holds(*c) for c in cases)
+    holds = all(_lemma2_decided(*c) for c in cases)
     return CheckReport(name="lemma2", passed=holds, checked=len(cases))
 
 
@@ -192,16 +240,31 @@ def _refined_binary32_holds(n: int, lhs: int) -> bool:
     return top < r or (top == r and lhs == r << s)
 
 
+def _refined_binary32_decided(stop: int) -> Iterator[bool]:
+    """``_refined_binary32_holds`` for each n in 10..stop-1, decided first by
+    bounds on (1 + 2**-24)**(n-10) * 2**F carried from one n to the next."""
+    c, F = 100 * ((100 << 24) + 706), _FRACTION_BITS
+    lo, hi = 1 << F, 1 << F
+    for n in range(10, stop):
+        decided = _decide(lo, hi, c, ((10_000 << 24) + 10_000 * n - 28_104) << F)
+        if decided is None:
+            decided = _refined_binary32_holds(n, c * ((1 << 24) + 1) ** (n - 10))
+        yield decided
+        lo, hi = lo + (lo >> 24), hi - (-hi >> 24)
+
+
 def check_refined_binary32_bound() -> CheckReport:
     """The single-precision refinement (n - 2.8104)u holds for 10 <= n <= 2088.
 
     That is (1 + 7.06u)(1+u)**(n-10) - 1 <= (n - 2.8104)u at u = 2**-24;
-    times 10**4 * 2**(24(n-9)) both sides are integers, and the left one
-    gains a factor 2**24 + 1 per n.
+    times 10**4 * 2**24 it reads c * (1+u)**(n-10) <= r with the integers
+    c = 100 * (100 * 2**24 + 706) and r = 10**4 * (2**24 + n) - 28104.
+    Integer bounds on (1+u)**(n-10) decide each n first: from one n to the
+    next the lower bound gains itself shifted down 24 bits, rounded down,
+    and the upper bound likewise rounded up.  Only an n they leave open is
+    compared exactly, times 2**(24(n-10)), where the left side gains a
+    factor 2**24 + 1 per n.
     """
     ns = range(10, 2089)
-    holds, lhs = True, 100 * ((100 << 24) + 706)
-    for n in ns:
-        holds = _refined_binary32_holds(n, lhs) and holds
-        lhs *= (1 << 24) + 1
+    holds = all(list(_refined_binary32_decided(ns.stop)))  # every n, as counted
     return CheckReport(name="refined_binary32", passed=holds, checked=len(ns))

@@ -145,7 +145,7 @@ from fractions import Fraction
 
 from .algorithms import naive_power
 from .exact import relative_error
-from .softfloat import FpNumber, RoundingMode, _check_mode, _check_precision
+from .softfloat import FpNumber, RoundingMode, _check_length, _check_mode, _check_precision
 
 __all__ = ["SearchReport", "exhaustive_max_error", "spot_error"]
 
@@ -605,8 +605,7 @@ def exhaustive_max_error(
     """
     _check_precision(p)
     _check_mode(mode)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_length(n, 1)
     if p > PRECISION_GUARD and not force:
         raise ValueError(
             f"p = {p} exceeds the scan guard ({PRECISION_GUARD}); "

@@ -52,6 +52,13 @@ def _check_precision(p: int) -> None:
         raise ValueError(f"precision must be an integer >= 2, got {p!r}")
 
 
+def _check_length(n: int, least: int) -> None:
+    if not isinstance(n, int):
+        raise ValueError(f"n must be an integer, got {n!r}")
+    if n < least:
+        raise ValueError(f"n must be >= {least}, got {n}")
+
+
 def _check_mode(mode: RoundingMode) -> None:
     if not isinstance(mode, RoundingMode):
         raise ValueError(f"mode must be a RoundingMode, got {mode!r}")

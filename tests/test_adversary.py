@@ -65,6 +65,16 @@ class TestBuildSequence:
         with pytest.raises(ValueError):
             build_sequence(24, 1)
 
+    @pytest.mark.parametrize(
+        "p,n,message",
+        [(24, 3.0, "n must be an integer, got 3.0"),
+         (24, 2.5, "n must be an integer, got 2.5"),
+         (8.5, 3, "precision must be an integer >= 2, got 8.5")],
+    )
+    def test_p_and_n_must_be_ints(self, p, n, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build_sequence(p, n)
+
     def test_p9_falls_back_to_1(self):
         with pytest.raises(SequenceConstructionError) as info:
             build_sequence(9, 40)
@@ -246,6 +256,11 @@ class TestVerifyPrefixes:
         ns = [1, 2, 17, 18, 50]
         want = [verify_sequence(factors[:n]) for n in ns]
         assert list(verify_prefixes(factors, ns)) == want
+
+    @pytest.mark.parametrize("ns,bad", [([2.5], 2.5), ([1, 3.0], 3.0), ([2, 4.5], 4.5)])
+    def test_prefixes_that_are_not_ints_are_named(self, ns, bad):
+        with pytest.raises(ValueError, match=f"^n must be an integer, got {bad!r}$"):
+            list(verify_prefixes(build_sequence(24, 5), ns))
 
     @pytest.mark.parametrize("ns", [[], range(3, 3)])
     def test_no_prefixes_no_reports(self, ns):

@@ -1,4 +1,5 @@
 import decimal
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -17,10 +18,14 @@ from ulplab import (
 )
 from ulplab import bounds
 from ulplab.bounds import (
+    _decide,
     _iroot,
+    _lemma2_decided,
     _lemma2_holds,
     _lemma2_samples,
+    _power_bounds,
     _property1_holds,
+    _refined_binary32_decided,
     _refined_binary32_holds,
 )
 from ulplab.exact import _STR_DC_BITS, _int_str
@@ -67,6 +72,11 @@ class TestBoundSet:
     def test_precision_not_an_integer_refused(self):
         with pytest.raises(ValueError, match=r"precision must be an integer >= 2, got 2\.5"):
             bound_set(2.5, 3)
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, None])
+    def test_n_not_an_integer_refused(self, n):
+        with pytest.raises(ValueError, match=f"^n must be an integer, got {n!r}$"):
+            bound_set(24, n)
 
     @given(
         p=st.integers(min_value=2, max_value=120),
@@ -126,6 +136,12 @@ class TestPsiFractions:
         fold = psi_fractions(24, ns)  # nothing is formed yet
         with pytest.raises(ValueError, match="range of consecutive n >= 2"):
             next(fold)
+
+    @pytest.mark.parametrize("ns", [[2.5], [2, 3], (2, 3), "23"])
+    def test_ns_that_is_not_a_range_refused(self, ns):
+        message = f"need a range of consecutive n >= 2, got {ns!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            list(psi_fractions(24, ns))
 
     @pytest.mark.parametrize("p", [-1, 0, 1, 1.5])
     def test_precision_below_2_refused_as_bound_set_refuses_it(self, p):
@@ -190,6 +206,11 @@ class TestNMax:
     def test_requires_p_at_least_5(self):
         with pytest.raises(ValueError):
             n_max(4)
+
+    @pytest.mark.parametrize("p", [24.0, 2.5, 1])
+    def test_precision_refused_as_bound_set_refuses_it(self, p):
+        with pytest.raises(ValueError, match=f"^precision must be an integer >= 2, got {p}$"):
+            n_max(p)
 
     @pytest.mark.parametrize("p", [5, 6, 7, 8, 11, 24, 31, 53, 64, 113])
     def test_defining_inequality(self, p):
@@ -300,9 +321,7 @@ class TestIntegerPredicates:
     def test_lemma2_samples(self, n):
         # 0 to 2/(3n^2) in 16 equal steps, then the 20 largest 2**-j inside
         top = Fraction(2, 3 * n * n)
-        samples = _lemma2_samples(n)
-        assert all(b_pow == b ** (n - 2) for _, b, b_pow in samples)
-        us = [Fraction(a, b) for a, b, _ in samples]
+        us = [Fraction(a, b) for a, b in _lemma2_samples(n)]
         assert us[:17] == [top * j / 16 for j in range(17)]
         j = next(j for j in range(1, 64) if Fraction(1, 1 << j) <= top)
         assert us[17:] == [Fraction(1, 1 << jj) for jj in range(j, j + 20)]
@@ -337,3 +356,94 @@ class TestIntegerPredicates:
         assert _refined_binary32_holds(n, (r << s) - 1)
         assert not _refined_binary32_holds(n, (r << s) + 1)
         assert not _refined_binary32_holds(n, (r + 1) << s)
+
+
+_LEMMA2_REPORT = bounds.CheckReport("lemma2", True, 296)
+_REFINED_REPORT = bounds.CheckReport("refined_binary32", True, 2079)
+
+
+class TestIntervalDecision:
+    """The fixed-point intervals decide what the exact predicates decide, and
+    a case they leave open goes to the exact predicate."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        den=st.integers(min_value=1, max_value=1 << 41),
+        step=st.integers(min_value=0, max_value=1 << 10),
+        k=st.integers(min_value=0, max_value=2100),
+    )
+    @example(den=3, step=0, k=998)  # a base of exactly 1
+    @example(den=1 << 40, step=1, k=998)  # the tightest Lemma 2 case's power
+    @example(den=1 << 24, step=1, k=2078)  # the refined bound's last power
+    def test_power_bounds_enclose_the_power(self, den, step, k):
+        # lo <= (num/den)**k * 2**F <= hi, with a relative width below 2**(13-F)
+        F, num = bounds._FRACTION_BITS, den + step
+        lo, hi = _power_bounds(num, den, k)
+        exact = num**k << F
+        assert lo * den**k <= exact <= hi * den**k
+        assert (hi - lo) << (F - 13) <= lo
+
+    @pytest.mark.parametrize("n", [10, 11, 50, 2088])
+    def test_decide_at_the_interval_edges(self, n):
+        # bound = r * 2**F for the refined bound's r; scale c divides it
+        # only as c * t: a top that meets the bound decides holds, a bottom
+        # that meets it leaves the case open, and only a bottom past it fails
+        r, c = (10_000 << 24) + 10_000 * n - 28_104, 100 * ((100 << 24) + 706)
+        t = r << bounds._FRACTION_BITS
+        assert _decide(t - 1, t, c, c * t) is True
+        assert _decide(t, t, c, c * t) is True
+        assert _decide(t - 1, t + 1, c, c * t) is None
+        assert _decide(t, t + 1, c, c * t) is None
+        assert _decide(t + 1, t + 1, c, c * t) is False
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=3, max_value=1200),
+        t=_UNIT,
+        g=st.integers(min_value=1, max_value=1 << 10),
+        bits=st.sampled_from([3, bounds._FRACTION_BITS]),
+    )
+    @example(n=3, t=Fraction(1), g=3, bits=bounds._FRACTION_BITS)
+    @example(n=1000, t=Fraction(1, 8), g=1, bits=bounds._FRACTION_BITS)  # u = 2/(3n^2)
+    def test_lemma2_matches_the_exact_predicate(self, n, t, g, bits):
+        # the draws of TestIntegerPredicates.test_lemma2, at the module's
+        # precision and at one too coarse to decide anything but u = 0
+        a, b = g * 16 * t.numerator, g * 3 * n * n * t.denominator
+        expected = _lemma2_holds(n, a, b, b ** (n - 2))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bounds, "_FRACTION_BITS", bits)
+            assert _lemma2_decided(n, a, b) is expected
+
+    @pytest.mark.parametrize("bits", [2, bounds._FRACTION_BITS])
+    def test_refined_binary32_matches_the_exact_predicate(self, bits, monkeypatch):
+        # n = 10..2200: true to 2088, false from 2089 on, one n after another
+        monkeypatch.setattr(bounds, "_FRACTION_BITS", bits)
+        expected = [n <= 2088 for n in range(10, 2201)]
+        assert list(_refined_binary32_decided(2201)) == expected
+
+    def test_default_grids_never_fall_back(self, monkeypatch):
+        # at the module's precision every case is decided by its interval
+        def exact(*args):
+            raise AssertionError(f"fell back on {args[:3]}")
+
+        monkeypatch.setattr(bounds, "_lemma2_holds", exact)
+        monkeypatch.setattr(bounds, "_refined_binary32_holds", exact)
+        assert check_lemma2() == _LEMMA2_REPORT
+        assert check_refined_binary32_bound() == _REFINED_REPORT
+
+    def test_coarse_intervals_fall_back_to_the_same_reports(self, monkeypatch):
+        # at 2 fractional bits only the cases at u = 0 (lemma 2) and n = 10
+        # (refined; (1+u)**0 is 1) are decided; every other case is exact
+        calls = []
+
+        def counted(predicate):
+            return lambda n, *args: calls.append(n) or predicate(n, *args)
+
+        monkeypatch.setattr(bounds, "_FRACTION_BITS", 2)
+        monkeypatch.setattr(bounds, "_lemma2_holds", counted(_lemma2_holds))
+        assert check_lemma2() == _LEMMA2_REPORT
+        assert len(calls) == 296 - len(bounds._LEMMA2_N_GRID)
+        calls.clear()
+        monkeypatch.setattr(bounds, "_refined_binary32_holds", counted(_refined_binary32_holds))
+        assert check_refined_binary32_bound() == _REFINED_REPORT
+        assert calls == list(range(11, 2089))

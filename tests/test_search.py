@@ -1032,6 +1032,19 @@ class TestModeValidation:
             spot_error(x, 3, mode)
 
 
+class TestLengthValidation:
+    @pytest.mark.parametrize("n", [2.5, 3.0, "3"])
+    def test_exhaustive_max_error_refuses_an_n_that_is_not_an_int(self, n):
+        with pytest.raises(ValueError, match=f"^n must be an integer, got {n!r}$"):
+            exhaustive_max_error(8, n)
+
+    @pytest.mark.parametrize("n", [2.5, 3.0])
+    def test_spot_error_refuses_an_n_that_is_not_an_int(self, n):
+        x = FpNumber(1, (1 << 7) + 8, 0, 8)
+        with pytest.raises(ValueError, match=f"^n must be an integer, got {n!r}$"):
+            spot_error(x, n)
+
+
 class TestSpotError:
     def test_x_equals_one(self):
         one = FpNumber(1, 1 << 23, 0, 24)
