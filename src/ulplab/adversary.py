@@ -32,6 +32,7 @@ from .exact import relative_error
 from .softfloat import (
     FpNumber,
     RoundingMode,
+    _check_integer,
     _check_length,
     _check_precision,
     fp_mul,
@@ -142,12 +143,14 @@ def verify_prefixes(
     """Yield ``verify_sequence(factors[:n])`` for each n of ``ns``, which must
     ascend strictly within 1..len(factors), from one rounded fold and one
     running exact product: a range costs a ``relative_error`` per prefix."""
+    last = 0
+    for n in ns:  # refused by the (len(factors) + 1)-th n at the latest
+        _check_integer(n)
+        if not last < n <= len(factors):
+            raise ValueError(f"prefixes must ascend strictly within 1..{len(factors)}, got {ns!r}")
+        last = n
     if not ns:
         return
-    if ns[0] < 1 or ns[-1] > len(factors) or any(a >= b for a, b in zip(ns, ns[1:])):
-        raise ValueError(f"prefixes must ascend strictly within 1..{len(factors)}, got {ns!r}")
-    for n in ns:  # at most len(factors) of them, by the check above
-        _check_length(n, 1)
     trace = iterated_product(factors[: ns[-1]], RoundingMode.TIES_EVEN)
     directions = step_directions(trace)
     downs = next((i for i, d in enumerate(directions) if d != DOWN), len(directions))

@@ -32,7 +32,7 @@ from .bounds import (
     n_max,
     psi_fractions,
 )
-from .exact import _int_str, to_decimal
+from .exact import _int_str, _spot_fractions, to_decimal
 from .search import DEFAULT_CHUNK_SIZE, PRECISION_GUARD, exhaustive_max_error, spot_error
 from .softfloat import FpNumber, RoundingMode, _check_precision, round_nearest
 
@@ -49,7 +49,7 @@ MAX_PRECISION = 1 << 16
 # million digits, summed over a command's rows, take about a second.  Row n
 # builds about p*n bits (x**n, n factors' product, psi's numerator): at the
 # limit on one row `bounds --p 65536 --n 2..65` takes about 10 s, at the
-# limit on all rows `spot --p 24 --n 2..2364` about 12 s.
+# limit on all rows `spot --p 24 --n 2..2364` about 2.3 s.
 MAX_DIGITS = 10**6
 MAX_EXACT_BITS = 1 << 22
 MAX_SUMMED_BITS = 1 << 26
@@ -256,8 +256,11 @@ def _cmd_spot(args: argparse.Namespace) -> tuple[int, str]:
     x = _parse_x(args.x, args.p)
     ns = _parse_range(args.n)
     _budget(args, ns, "x^{}")
+    errors = [spot_error(x, n, mode) for n in ns]
+    texts = _spot_fractions(args.p, x.significand, ns, errors)
     rows = [
-        {"n": n, "error": _error_obj(spot_error(x, n, mode), args.digits)} for n in ns
+        {"n": n, "error": {"fraction": text, "decimal": to_decimal(err, args.digits)}}
+        for n, err, text in zip(ns, errors, texts)
     ]
     obj = {
         "p": args.p,

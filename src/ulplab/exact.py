@@ -6,7 +6,9 @@ arithmetic and reduces it without a gcd of two big operands (see its
 docstring).  Nothing is ever rounded except the final decimal rendering,
 ``to_decimal``, which truncates toward zero so printed digits are always a
 correct prefix of the exact value; it and the reports print integers with
-``_int_str``, which needs no change to Python's int<->str digit limit.
+``_int_str``, which needs no change to Python's int<->str digit limit, and
+``spot``'s error fractions come from ``_spot_fractions``, which forms them
+in exact ``decimal`` arithmetic from values carried from row to row.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import decimal
 import math
 import sys
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 
 from .softfloat import FpNumber, _coprime_fraction, _trailing_zeros
@@ -124,3 +127,59 @@ def _int_str(n: int) -> str:
 
     text = str(convert(abs(n), bits))
     return "-" + text if n < 0 else text
+
+
+# Rows of _spot_fractions whose denominator has at most this many bits are
+# written by _int_str: below it, str() costs less than starting the running
+# decimals.
+_SPOT_DECIMAL_BITS = 3_000
+
+
+def _spot_fractions(
+    p: int, X: int, ns: range, errors: Iterable[Fraction]
+) -> Iterator[str]:
+    """The text ``"num/den"`` of each of ``errors``, which are
+    ``spot_error(x, n)`` for the n of ``ns`` in order, x having precision p
+    and significand X = X_odd * 2**t.
+
+    Scaled to an integer and divided by 2**(t*n), the computed x**n is M =
+    M_odd * 2**d.  Each of its n-1 steps rounds the one before times X_odd
+    to p bits, which keeps that multiple of 2**d or moves it onto a grid at
+    least as coarse, so M is an integer and d never falls from one n to the
+    next.  With P = X_odd**n, which is odd, ``spot_error`` is |M - P| * 2**p
+    / P in lowest terms: for odd = gcd(M, P) = P // den, den = P / odd and
+    num = |M - P| * 2**p / odd.  So for q = num * odd / 2**p, M is the one
+    of P +- q with at most p significant bits.  Both have at most p only
+    where P has p+1 bits and its rounding tied; there P + q, taken unless it
+    has more, gives the same |M - P| and no larger d than M, so the d taken
+    never falls either.
+
+    P and 2**d are kept as exact ``decimal`` integers, and each row
+    multiplies them by X_odd and a small power of two, so a row costs time
+    linear in its length, where ``str()`` of num and den is quadratic.  They
+    start at the first row whose den passes ``_SPOT_DECIMAL_BITS``, and the
+    rows before are written by ``_int_str``.  The thread's decimal context
+    is never touched.
+    """
+    P_dec = None  # X_odd**n in decimal, once the running values start
+    for n, err in zip(ns, errors):
+        num, den = err.numerator, err.denominator
+        if P_dec is None:
+            if den.bit_length() <= _SPOT_DECIMAL_BITS:
+                yield _int_str(num) + "/" + _int_str(den)
+                continue
+            X_odd = X >> _trailing_zeros(X)
+            P, P_dec = X_odd**n, _EXACT.power(X_odd, n)
+            two_d, d, two_p = decimal.Decimal(1), 0, _EXACT.power(2, p)
+        else:
+            P, P_dec = P * X_odd, _EXACT.multiply(P_dec, X_odd)
+        odd = P // den
+        q = num * odd >> p
+        M = P + q
+        if (M >> _trailing_zeros(M)).bit_length() > p:
+            M = P - q
+        shift = _trailing_zeros(M)
+        two_d, d = _EXACT.multiply(two_d, _EXACT.power(2, shift - d)), shift
+        diff = _EXACT.subtract(_EXACT.multiply(two_d, M >> d), P_dec)
+        num_dec = _EXACT.divide_int(_EXACT.multiply(_EXACT.abs(diff), two_p), odd)
+        yield str(num_dec) + "/" + str(_EXACT.divide_int(P_dec, odd))

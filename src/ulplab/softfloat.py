@@ -52,9 +52,14 @@ def _check_precision(p: int) -> None:
         raise ValueError(f"precision must be an integer >= 2, got {p!r}")
 
 
-def _check_length(n: int, least: int) -> None:
-    if not isinstance(n, int):
+def _check_integer(n: int) -> None:
+    # a bool is an int to isinstance, but True is no chain length
+    if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError(f"n must be an integer, got {n!r}")
+
+
+def _check_length(n: int, least: int) -> None:
+    _check_integer(n)
     if n < least:
         raise ValueError(f"n must be >= {least}, got {n}")
 

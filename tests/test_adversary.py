@@ -257,7 +257,9 @@ class TestVerifyPrefixes:
         want = [verify_sequence(factors[:n]) for n in ns]
         assert list(verify_prefixes(factors, ns)) == want
 
-    @pytest.mark.parametrize("ns,bad", [([2.5], 2.5), ([1, 3.0], 3.0), ([2, 4.5], 4.5)])
+    @pytest.mark.parametrize(
+        "ns,bad", [([2.5], 2.5), ([1, 3.0], 3.0), ([2, 4.5], 4.5), ([True], True), (["3"], "3")]
+    )
     def test_prefixes_that_are_not_ints_are_named(self, ns, bad):
         with pytest.raises(ValueError, match=f"^n must be an integer, got {bad!r}$"):
             list(verify_prefixes(build_sequence(24, 5), ns))

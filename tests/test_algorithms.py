@@ -69,7 +69,7 @@ class TestNaivePower:
         with pytest.raises(ValueError):
             naive_power(round_nearest(1, 8), 0)
 
-    @pytest.mark.parametrize("n", [2.0, 2.5, None])
+    @pytest.mark.parametrize("n", [2.0, 2.5, None, True])
     def test_n_must_be_an_int(self, n):
         x = round_nearest(Fraction(136, 128), 8)
         with pytest.raises(ValueError, match=f"^n must be an integer, got {n!r}$"):

@@ -73,7 +73,7 @@ class TestBoundSet:
         with pytest.raises(ValueError, match=r"precision must be an integer >= 2, got 2\.5"):
             bound_set(2.5, 3)
 
-    @pytest.mark.parametrize("n", [2.5, 3.0, None])
+    @pytest.mark.parametrize("n", [2.5, 3.0, None, True])
     def test_n_not_an_integer_refused(self, n):
         with pytest.raises(ValueError, match=f"^n must be an integer, got {n!r}$"):
             bound_set(24, n)

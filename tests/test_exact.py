@@ -1,8 +1,10 @@
+import decimal
 import math
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,8 @@ from ulplab import (
     to_decimal,
     verify_sequence,
 )
-from ulplab.exact import _STR_DC_BITS, _int_str
+from ulplab import exact
+from ulplab.exact import _SPOT_DECIMAL_BITS, _STR_DC_BITS, _int_str, _spot_fractions
 from ulplab.search import _scan_chunk
 from conftest import int_digit_limit
 from oracle import oracle_error_ulps, oracle_power
@@ -307,6 +310,63 @@ class TestIntStr:
         with int_digit_limit(limit):
             got = [_int_str(n) for n in cases]
             assert sys.get_int_max_str_digits() == limit
+        assert got == want
+
+
+def spot_texts(x, ns, mode=RoundingMode.TIES_EVEN):
+    """``spot_error``'s rows of ``ns`` as (errors, their texts through
+    ``_spot_fractions``, their texts through ``_int_str``)."""
+    errors = [spot_error(x, n, mode) for n in ns]
+    want = [_int_str(e.numerator) + "/" + _int_str(e.denominator) for e in errors]
+    return errors, list(_spot_fractions(x.precision, x.significand, ns, errors)), want
+
+
+class TestSpotFractions:
+    # the golden p = 113 input, whose significand ends in two zero bits
+    X113 = 5192324351407105984705482084151108
+
+    # Switch 0 starts the running decimals at the first row, so they are
+    # checked at every size, error-free rows included; the real switch
+    # checks the hand-over from _int_str.
+    @settings(max_examples=80, deadline=None)
+    @given(
+        data=st.data(),
+        p=st.integers(2, 200),
+        sign=st.sampled_from([1, -1]),
+        exponent=st.integers(-5, 4),
+        mode=st.sampled_from(list(RoundingMode)),
+        start=st.sampled_from([1, 2]),
+        rows=st.integers(1, 40),
+        switch=st.sampled_from([0, _SPOT_DECIMAL_BITS]),
+    )
+    def test_matches_int_str_on_every_row(
+        self, data, p, sign, exponent, mode, start, rows, switch
+    ):
+        twos = data.draw(st.integers(0, p - 1), label="trailing zero bits of X")
+        if twos == p - 1:  # x = 1: every row is 0/1
+            X = 1 << (p - 1)
+        else:
+            odd = 2 * data.draw(st.integers(0, (1 << (p - 2 - twos)) - 1)) + 1
+            X = (1 << (p - 1)) + (odd << twos)
+        x = FpNumber(sign, X, exponent, p)
+        with mock.patch.object(exact, "_SPOT_DECIMAL_BITS", switch):
+            _, got, want = spot_texts(x, range(start, start + rows), mode)
+        assert got == want
+
+    def test_range_past_the_str_threshold(self, default_int_digit_limit):
+        errors, got, want = spot_texts(FpNumber(1, self.X113, 0, 113), range(2, 401))
+        assert errors[0].denominator.bit_length() <= _SPOT_DECIMAL_BITS
+        assert errors[-1].denominator.bit_length() > _STR_DC_BITS
+        assert got == want
+
+    def test_leaves_the_callers_decimal_context_alone(self):
+        with decimal.localcontext() as ctx:
+            ctx.prec, ctx.traps[decimal.Inexact] = 3, True
+            before = ctx.prec, dict(ctx.traps), dict(ctx.flags)
+            errors, got, want = spot_texts(FpNumber(1, self.X113, 0, 113), range(20, 60))
+            assert decimal.getcontext() is ctx
+            assert (ctx.prec, dict(ctx.traps), dict(ctx.flags)) == before
+        assert errors[-1].denominator.bit_length() > _SPOT_DECIMAL_BITS
         assert got == want
 
 

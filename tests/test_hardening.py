@@ -33,8 +33,8 @@ TMP = "<tmp>"  # replaced by a fresh temporary directory in every example
 
 # Each option maps to (values it parses, malformed values), small fixed lists
 # so that each example runs in milliseconds: p <= 12 for search, n <= 60
-# (300 for bounds and verify), --digits <= 40.  Parsed values still include some that
-# the library refuses.
+# (300 for spot, bounds and verify), --digits <= 40.  Parsed values still
+# include some that the library refuses.
 PRECISION = (
     ["2", "4", "5", "8", "24", "53", "113"],
     ["0", "1", "-1", "x", "", "1000000000000"],
@@ -70,7 +70,9 @@ OPTIONS = {
              "6/4", "-3/2^900", "2", "1/2^7", "1/2^" + "9" * 20, f"1/2^{2**62 + 1}"],
             ["1/0", "2^3", "x", "", "7\n/3"],
         ),
-        "--n": COUNT,
+        # 2..300: a long range, whose late rows are written from the
+        # running decimals
+        "--n": (COUNT[0] + ["2..300"], COUNT[1]),
         **MODE,
         **OUTPUT,
     },

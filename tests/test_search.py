@@ -1033,12 +1033,12 @@ class TestModeValidation:
 
 
 class TestLengthValidation:
-    @pytest.mark.parametrize("n", [2.5, 3.0, "3"])
+    @pytest.mark.parametrize("n", [2.5, 3.0, "3", True])
     def test_exhaustive_max_error_refuses_an_n_that_is_not_an_int(self, n):
         with pytest.raises(ValueError, match=f"^n must be an integer, got {n!r}$"):
             exhaustive_max_error(8, n)
 
-    @pytest.mark.parametrize("n", [2.5, 3.0])
+    @pytest.mark.parametrize("n", [2.5, 3.0, True])
     def test_spot_error_refuses_an_n_that_is_not_an_int(self, n):
         x = FpNumber(1, (1 << 7) + 8, 0, 8)
         with pytest.raises(ValueError, match=f"^n must be an integer, got {n!r}$"):
